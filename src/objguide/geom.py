@@ -7,6 +7,7 @@ Points and lines compare equal up to a nonzero scale factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,13 @@ def normalize_h(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _at_infinity(ph: np.ndarray) -> np.ndarray:
+    """Mask of the homogeneous points (..., 3) that lie at infinity."""
+    return np.abs(ph[..., 2]) < INFINITY_EPS * np.hypot(ph[..., 0], ph[..., 1])
+
+
 def is_infinite(p: np.ndarray) -> bool:
-    return abs(p[2]) < INFINITY_EPS * float(np.hypot(p[0], p[1]))
+    return bool(_at_infinity(np.asarray(p, dtype=float)))
 
 
 def dehomogenize(p: np.ndarray) -> np.ndarray:
@@ -162,12 +168,15 @@ class Homography:
 
         Raises DegenerateInputError if any image lands at infinity.
         """
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        ph = np.column_stack([pts, np.ones(len(pts))]) @ self.m.T
-        w = ph[:, 2]
-        if np.any(np.abs(w) < INFINITY_EPS * np.hypot(ph[:, 0], ph[:, 1])):
+        ph = self._map_h(pts)
+        if np.any(_at_infinity(ph)):
             raise DegenerateInputError("point mapped to infinity")
-        return ph[:, :2] / w[:, None]
+        return ph[:, :2] / ph[:, 2:]
+
+    def _map_h(self, pts: np.ndarray) -> np.ndarray:
+        """Homogeneous images (N, 3) of an (N, 2) array of finite points."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        return np.column_stack([pts, np.ones(len(pts))]) @ self.m.T
 
     def __matmul__(self, other: "Homography") -> "Homography":
         return Homography(self.m @ other.m)
@@ -214,10 +223,15 @@ class DetBox:
         )
 
 
+# Index of each quad corner's successor.
+_NEXT = np.array([1, 2, 3, 0])
+
+
 def _edge_crosses(corners: np.ndarray) -> np.ndarray:
-    e = np.roll(corners, -1, axis=0) - corners
-    en = np.roll(e, -1, axis=0)
-    return e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
+    """Cross products of consecutive edges of quads (..., 4, 2)."""
+    e = corners[..., _NEXT, :] - corners
+    en = e[..., _NEXT, :]
+    return e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
 
 
 def canonical_quad_order(corners: np.ndarray) -> np.ndarray:
@@ -225,15 +239,18 @@ def canonical_quad_order(corners: np.ndarray) -> np.ndarray:
 
     Points are sorted by angle about their centroid (positive shoelace in
     image coordinates, y down) and rotated so the top-left-most corner,
-    the one minimizing x + y, comes first.
+    the one minimizing x + y, comes first.  Takes one quad (4, 2) or a
+    stack (N, 4, 2) and returns the same shape.
     """
-    corners = np.asarray(corners, dtype=float).reshape(4, 2)
-    c = corners.mean(axis=0)
-    ang = np.arctan2(corners[:, 1] - c[1], corners[:, 0] - c[0])
-    order = np.argsort(ang, kind="stable")
-    corners = corners[order]
-    start = int(np.argmin(corners.sum(axis=1)))
-    return np.roll(corners, -start, axis=0)
+    corners = np.asarray(corners, dtype=float)
+    if corners.ndim != 3:
+        return canonical_quad_order(corners.reshape(1, 4, 2))[0]
+    c = corners.mean(axis=1)
+    ang = np.arctan2(corners[..., 1] - c[:, 1:], corners[..., 0] - c[:, :1])
+    order = np.argsort(ang, axis=1, kind="stable")
+    start = np.argmin(np.take_along_axis(corners.sum(axis=2), order, axis=1), axis=1)
+    order = np.take_along_axis(order, (start[:, None] + np.arange(4)) % 4, axis=1)
+    return np.take_along_axis(corners, order[..., None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -261,17 +278,21 @@ class QuadBox:
     def centroid(self) -> np.ndarray:
         return self.corners.mean(axis=0)
 
-    @property
+    @cached_property
     def area(self) -> float:
         return _shoelace_area(self.corners)
 
     def contains(self, point: np.ndarray, eps: float = 1e-9) -> bool:
-        p = np.asarray(point, dtype=float)
+        return bool(self.contains_points(np.reshape(point, (1, 2)), eps)[0])
+
+    def contains_points(self, points: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+        """Mask of the points (N, 2) inside the quad or within eps of its edges."""
+        p = np.asarray(points, dtype=float)
         v = self.corners
-        e = np.roll(v, -1, axis=0) - v
-        d = p[None, :] - v
-        cross = e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]
-        return bool(np.all(cross >= -eps))
+        e = v[_NEXT] - v
+        d = p[:, None, :] - v
+        cross = e[:, 0] * d[..., 1] - e[:, 1] * d[..., 0]
+        return np.all(cross >= -eps, axis=1)
 
     def dilated(self, margin: float) -> "QuadBox":
         """Scale the quad about its centroid by (1 + margin)."""
@@ -282,7 +303,33 @@ class QuadBox:
 def _shoelace_area(poly: np.ndarray) -> float:
     x = poly[:, 0]
     y = poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
+
+
+def project_quads(h: Homography, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map quads (N, 4, 2) under h, as QuadBox(canonical_quad_order(h.map_points(q)))
+    does for one quad.
+
+    Returns the indices of the quads whose images are finite and strictly
+    convex, and those images (K, 4, 2) in canonical corner order.
+    """
+    n = len(corners)
+    ph = h._map_h(corners).reshape(n, 4, 3)
+    finite = np.flatnonzero(~np.any(_at_infinity(ph), axis=1))
+    ph = ph[finite]
+    quads = canonical_quad_order(ph[..., :2] / ph[..., 2:])
+    convex = np.all(_edge_crosses(quads) > 0, axis=1)
+    return finite[convex], quads[convex]
+
+
+def bbox_overlaps(
+    lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
+) -> np.ndarray:
+    """(Na, Nb) mask of axis-aligned boxes, given as min/max corners (N, 2),
+    whose interiors intersect.  Quads with disjoint bounding boxes have IoU 0."""
+    return np.all((hi_b[None] > lo_a[:, None]) & (lo_b[None] < hi_a[:, None]), axis=2)
 
 
 def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:

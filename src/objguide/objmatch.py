@@ -17,8 +17,9 @@ from .geom import (
     EstimationError,
     Homography,
     QuadBox,
-    canonical_quad_order,
+    bbox_overlaps,
     dlt_homography,
+    project_quads,
     quad_iou,
 )
 
@@ -56,6 +57,8 @@ class MatchParams:
     vp_weight: float | None = None  # None: one corner-set per supporting pair
 
     def __post_init__(self):
+        if not (0.0 < self.eps_iou <= 1.0):
+            raise ValueError("eps_iou must be in (0, 1]")
         if self.gem_p < 1.0:
             raise ValueError("gem_p must be >= 1")
         if not (0.0 < self.ratio <= 1.0):
@@ -96,17 +99,24 @@ def gem_pool(descs: np.ndarray, p: float) -> np.ndarray:
     return vec / n
 
 
-def box_descriptor(box: QuadBox, feats: list[Feature], p: float) -> np.ndarray:
+def box_descriptor(box: QuadBox, pos: np.ndarray, desc: np.ndarray, p: float) -> np.ndarray:
     """Pooled descriptor of the features inside the quad.
 
-    A box containing no features gets the zero sentinel, which has cosine
-    similarity 0 to everything.
+    pos (F, 2) and desc (F, D) are one image's feature positions and
+    descriptors.  A box containing no features gets the zero sentinel of
+    length D, which has cosine similarity 0 to everything.
     """
-    inside = [f.desc for f in feats if box.contains(f.pos)]
-    if not inside:
-        dim = len(feats[0].desc) if feats else 0
-        return np.zeros(dim)
-    return gem_pool(np.array(inside), p)
+    inside = box.contains_points(pos)
+    if not inside.any():
+        return np.zeros(desc.shape[1])
+    return gem_pool(desc[inside], p)
+
+
+def _feature_table(feats: list[Feature], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Feature positions (F, 2) and descriptors (F, dim) of one image."""
+    if not feats:
+        return np.zeros((0, 2)), np.zeros((0, dim))
+    return np.array([f.pos for f in feats]), np.array([f.desc for f in feats])
 
 
 def candidates(
@@ -129,30 +139,28 @@ def hypothesis(q1: QuadBox, q2: QuadBox) -> Homography:
 
 
 def _project_quad(h: Homography, q: QuadBox) -> QuadBox | None:
-    try:
-        corners = h.map_points(q.corners)
-        return QuadBox(canonical_quad_order(corners), q.score)
-    except DegenerateInputError:
-        return None
+    rows, quads = project_quads(h, q.corners[None])
+    return QuadBox(quads[0], q.score) if len(rows) else None
 
 
-def _iou_matrix(h: Homography, boxes1: list[QuadBox], boxes2: list[QuadBox]) -> np.ndarray:
-    """Projected-IoU matrix with a bounding-box prefilter for disjoint pairs."""
-    iou = np.zeros((len(boxes1), len(boxes2)))
-    if not boxes2:
-        return iou
-    lo2 = np.array([q.corners.min(axis=0) for q in boxes2])
-    hi2 = np.array([q.corners.max(axis=0) for q in boxes2])
-    for i, q1 in enumerate(boxes1):
-        pq = _project_quad(h, q1)
-        if pq is None:
-            continue
-        lo = pq.corners.min(axis=0)
-        hi = pq.corners.max(axis=0)
-        overlap = np.flatnonzero(np.all((hi2 > lo) & (lo2 < hi), axis=1))
-        for j in overlap:
-            iou[i, j] = quad_iou(pq, boxes2[int(j)])
-    return iou
+@dataclass(frozen=True)
+class _BoxTable:
+    """A quad list with its corners (N, 4, 2) and bounding boxes stacked."""
+
+    quads: list[QuadBox]
+    corners: np.ndarray
+    lo: np.ndarray  # (N, 2) bounding-box minimum
+    hi: np.ndarray  # (N, 2) bounding-box maximum
+
+    @classmethod
+    def of(cls, quads: list[QuadBox]) -> "_BoxTable":
+        corners = np.array([q.corners for q in quads]).reshape(-1, 4, 2)
+        return cls(list(quads), corners, corners.min(axis=1), corners.max(axis=1))
+
+    def take(self, idx: list[int]) -> "_BoxTable":
+        return _BoxTable(
+            [self.quads[i] for i in idx], self.corners[idx], self.lo[idx], self.hi[idx]
+        )
 
 
 def _greedy_pairs(iou: np.ndarray, eps_iou: float) -> list[tuple[int, int]]:
@@ -170,6 +178,34 @@ def _greedy_pairs(iou: np.ndarray, eps_iou: float) -> list[tuple[int, int]]:
     return pairs
 
 
+def _support_score(
+    h: Homography, t1: _BoxTable, t2: _BoxTable, eps_iou: float, floor: int = 0
+) -> tuple[list[tuple[int, int]], float] | None:
+    """Greedy one-to-one support of h and its summed IoU, or None when the
+    support is bounded below floor.
+
+    Only projected quads whose bounding box overlaps an image-2 box can reach
+    IoU >= eps_iou > 0, and pairing is one-to-one, so the support is at most
+    the smaller of the number of such quads and the number of image-2 boxes
+    they overlap.  The bound costs no IoU, and IoU is computed only on the
+    overlapping cells.
+    """
+    rows, proj = project_quads(h, t1.corners)
+    cells = bbox_overlaps(proj.min(axis=1), proj.max(axis=1), t2.lo, t2.hi)
+    hit1 = np.flatnonzero(cells.any(axis=1))
+    hit2 = np.flatnonzero(cells.any(axis=0))
+    if min(len(hit1), len(hit2)) < floor:
+        return None
+    iou = np.zeros((len(hit1), len(hit2)))
+    for a, r in enumerate(hit1):
+        pq = QuadBox(proj[r])
+        for b in np.flatnonzero(cells[r, hit2]):
+            iou[a, b] = quad_iou(pq, t2.quads[hit2[b]])
+    local = _greedy_pairs(iou, eps_iou)
+    pairs = [(int(rows[hit1[a]]), int(hit2[b])) for a, b in local]
+    return pairs, float(sum(iou[a, b] for a, b in local))
+
+
 def support(
     h: Homography,
     boxes1: list[QuadBox],
@@ -180,14 +216,9 @@ def support(
 
     Appearance is deliberately ignored here; geometry alone decides.
     """
-    return _greedy_pairs(_iou_matrix(h, boxes1, boxes2), eps_iou)
-
-
-def _support_score(h, boxes1, boxes2, eps_iou):
-    iou = _iou_matrix(h, boxes1, boxes2)
-    pairs = _greedy_pairs(iou, eps_iou)
-    total = float(sum(iou[i, j] for i, j in pairs))
-    return pairs, total
+    if not 0.0 < eps_iou <= 1.0:
+        raise ValueError("eps_iou must be in (0, 1]")
+    return _support_score(h, _BoxTable.of(boxes1), _BoxTable.of(boxes2), eps_iou)[0]
 
 
 def greedy_match(
@@ -202,27 +233,38 @@ def greedy_match(
     Fully deterministic: ties are resolved by larger summed IoU, then by the
     lexicographically smaller supporting pair list.
     """
-    descs1 = np.array([box_descriptor(q, feats1, params.gem_p) for q in boxes1])
-    descs2 = np.array([box_descriptor(q, feats2, params.gem_p) for q in boxes2])
+    # A featureless image gets zero descriptors of the other image's
+    # dimension, so candidates fall back to index order.
+    ref = feats1 or feats2
+    dim = len(ref[0].desc) if ref else 0
+    pos1, fdesc1 = _feature_table(feats1, dim)
+    pos2, fdesc2 = _feature_table(feats2, dim)
+    descs1 = np.array([box_descriptor(q, pos1, fdesc1, params.gem_p) for q in boxes1])
+    descs2 = np.array([box_descriptor(q, pos2, fdesc2, params.gem_p) for q in boxes2])
+    table1, table2 = _BoxTable.of(boxes1), _BoxTable.of(boxes2)
 
     remaining1 = list(range(len(boxes1)))
     remaining2 = list(range(len(boxes2)))
     groups: list[ObjectGroup] = []
 
     while remaining1 and remaining2:
-        sub1 = [boxes1[i] for i in remaining1]
-        sub2 = [boxes2[j] for j in remaining2]
-        sub_descs2 = descs2[remaining2] if len(remaining2) else descs2
-        best = None  # (count, sum_iou, pairs, H)
+        sub1 = table1.take(remaining1)
+        sub2 = table2.take(remaining2)
+        sub_descs2 = descs2[remaining2]
+        best = None  # ((count, sum_iou, pairs), pairs, H)
         for li, i in enumerate(remaining1):
-            sims = sub_descs2 @ descs1[i]
-            order = np.argsort(-sims, kind="stable")[: params.k_candidates]
-            for lj in order:
+            for lj in candidates(i, descs1, sub_descs2, params.k_candidates):
                 try:
-                    h = hypothesis(sub1[li], sub2[int(lj)])
+                    h = hypothesis(sub1.quads[li], sub2.quads[lj])
                 except (EstimationError, DegenerateInputError):
                     continue
-                pairs, sum_iou = _support_score(h, sub1, sub2, params.eps_iou)
+                # A hypothesis that can only tie the best count is still
+                # scored: the summed-IoU and pair-list tie-breaks need it.
+                floor = max(2, best[0][0]) if best else 2
+                scored = _support_score(h, sub1, sub2, params.eps_iou, floor)
+                if scored is None:
+                    continue
+                pairs, sum_iou = scored
                 if len(pairs) < 2:
                     continue
                 global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]

@@ -19,6 +19,7 @@ from .geom import (
     Homography,
     LineSegment,
     QuadBox,
+    bbox_overlaps,
     canonical_quad_order,
     quad_iou,
 )
@@ -341,8 +342,11 @@ def merge_detections(
         raise ValueError(f"unknown detection mode {mode!r}")
     pool = streams[mode]
     order = sorted(range(len(pool)), key=lambda i: (-pool[i].score, i))
-    kept: list[QuadBox] = []
+    corners = np.array([q.corners for q in pool]).reshape(-1, 4, 2)
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    near = bbox_overlaps(lo, hi, lo, hi)
+    kept: list[int] = []
     for i in order:
-        if all(quad_iou(pool[i], q) < DEDUP_IOU for q in kept):
-            kept.append(pool[i])
-    return kept
+        if all(quad_iou(pool[i], pool[k]) < DEDUP_IOU for k in kept if near[i, k]):
+            kept.append(i)
+    return [pool[i] for i in kept]

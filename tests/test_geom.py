@@ -16,6 +16,7 @@ from objguide.geom import (
     is_infinite,
     line_through,
     normalize_h,
+    project_quads,
     quad_iou,
     same_up_to_scale,
 )
@@ -213,6 +214,39 @@ class TestBoxes:
         for _ in range(10):
             got = canonical_quad_order(corners[rng.permutation(4)])
             assert np.allclose(got, ref)
+
+    def test_canonical_order_stacked_equals_one_by_one(self):
+        rng = np.random.default_rng(4)
+        stack = rng.uniform(0, 100, (50, 4, 2))
+        got = canonical_quad_order(stack)
+        for quad, row in zip(stack, got):
+            assert np.array_equal(canonical_quad_order(quad), row)
+
+    def test_contains_points_equals_contains(self):
+        rng = np.random.default_rng(6)
+        q = random_convex_quad(rng)
+        pts = np.vstack([rng.uniform(0, 1000, (200, 2)), q.corners])
+        assert list(q.contains_points(pts)) == [q.contains(p) for p in pts]
+
+    def test_project_quads_equals_per_quad_projection(self):
+        # x = 512 goes to infinity: one quad has a corner on that line, one
+        # straddles it, the others stay finite.
+        h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0 / 512, 0, 1.0]]))
+        rng = np.random.default_rng(8)
+        quads = [QuadBox.from_detbox(DetBox(*b)) for b in
+                 [(0, 0, 40, 50), (472, 0, 512, 50), (500, 0, 540, 50), (100, 100, 140, 150)]]
+        quads += [random_convex_quad(rng, 0.0, 400.0) for _ in range(20)]
+        want = []
+        for k, q in enumerate(quads):
+            try:
+                want.append((k, QuadBox(canonical_quad_order(h.map_points(q.corners))).corners))
+            except DegenerateInputError:
+                pass
+        with np.errstate(all="raise"):
+            rows, proj = project_quads(h, np.array([q.corners for q in quads]))
+        assert 1 not in rows
+        assert list(rows) == [k for k, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), b in zip(want, proj))
 
 
 class TestSegments:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,15 @@ class TestMatchPair:
         for mode in ("O", "OA", "O+R"):
             ms, report = match_pair(scene.img_a, scene.img_b, mode=mode)
             assert report["mode"] == mode
+
+    def test_one_featureless_image(self):
+        # Boxes still group by geometry alone; with no features on one side
+        # there is nothing to match.
+        scene = _single_plane(seed=3)
+        for img1, img2 in (
+            (scene.img_a, replace(scene.img_b, features=[])),
+            (replace(scene.img_a, features=[]), scene.img_b),
+        ):
+            ms, report = match_pair(img1, img2)
+            assert report["groups"] >= 1
+            assert ms.matches == []

@@ -52,18 +52,30 @@ class TestGemPool:
             gem_pool(np.empty((0, 8)), 3.0)
 
 
+class TestMatchParams:
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
+    def test_eps_iou_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError):
+            MatchParams(eps_iou=eps)
+
+    def test_eps_iou_one_accepted(self):
+        assert MatchParams(eps_iou=1.0).eps_iou == 1.0
+
+
 class TestBoxDescriptor:
     def test_pools_only_inside_features(self):
         box = QuadBox.from_detbox(DetBox(0, 0, 10, 10))
         inside = _feat(0, [5, 5], [1, 0, 0])
         outside = _feat(1, [50, 50], [0, 1, 0])
-        d = box_descriptor(box, [inside, outside], 3.0)
+        pos = np.array([inside.pos, outside.pos])
+        desc = np.array([inside.desc, outside.desc])
+        d = box_descriptor(box, pos, desc, 3.0)
         assert np.allclose(d, inside.desc)
 
     def test_empty_box_zero_sentinel(self):
         box = QuadBox.from_detbox(DetBox(0, 0, 10, 10))
         feats = [_feat(0, [50, 50], [0, 1, 0])]
-        d = box_descriptor(box, feats, 3.0)
+        d = box_descriptor(box, np.array([feats[0].pos]), np.array([feats[0].desc]), 3.0)
         assert np.array_equal(d, np.zeros(3))
         # Cosine similarity of the sentinel to anything is 0.
         assert d @ feats[0].desc == 0.0
