@@ -1,7 +1,8 @@
 """Command line driver: scene synthesis, stage-wise tools, matching, scoring.
 
-Exit codes: 0 success, 2 input parse failure (with file:line diagnostics),
-3 descriptor dimension mismatch between the two images.
+Exit codes: 0 success, 2 input parse failure (with file:line diagnostics)
+or invalid parameter value, 3 descriptor dimension mismatch between the
+two images.
 """
 
 from __future__ import annotations
@@ -11,13 +12,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import io as formats
-from .geom import DegenerateInputError
-from .guided import ImageInputs, match_pair
+from .guided import match_pair
 from .objmatch import MatchParams
-from .rectify import MODES, SegParams, build_rectifier, segment_columns
+from .rectify import MODES, SegParams, build_plane_rectifiers
 from .synth import (
     NoiseSpec,
     PlaneSpec,
@@ -27,7 +25,7 @@ from .synth import (
     slant_p,
     view_homography,
 )
-from .vanishing import HORIZONTAL, VERTICAL, VpParams, best_by_orientation, classify, estimate_vps
+from .vanishing import VpParams, image_vps
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -46,21 +44,27 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vp-weight", type=float, default=None)
 
 
+class InvalidParameterError(Exception):
+    """A pipeline flag holds a value the parameter classes reject."""
+
+
 def _params_from_args(args) -> tuple[MatchParams, VpParams, SegParams]:
-    mp = MatchParams(
-        k_candidates=args.k_candidates,
-        eps_iou=args.iou_thresh,
-        r_search=args.r_search,
-        gem_p=args.gem_p,
-        ratio=args.ratio,
-        vp_weight=args.vp_weight,
-    )
-    vp = VpParams(angle_thresh=args.angle_thresh, rng_seed=args.seed)
+    try:
+        mp = MatchParams(
+            k_candidates=args.k_candidates,
+            eps_iou=args.iou_thresh,
+            r_search=args.r_search,
+            gem_p=args.gem_p,
+            ratio=args.ratio,
+            vp_weight=args.vp_weight,
+        )
+        vp = VpParams(angle_thresh=args.angle_thresh, rng_seed=args.seed)
+    except ValueError as exc:
+        raise InvalidParameterError(f"invalid parameter: {exc}") from exc
     return mp, vp, SegParams()
 
 
-def _run_one_pair(dir1: str, dir2: str, out: str, args) -> dict:
-    mp, vp, sp = _params_from_args(args)
+def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
     img1 = formats.read_image_dir(dir1, min_seg_len=args.min_seg_len)
     img2 = formats.read_image_dir(dir2, min_seg_len=args.min_seg_len)
     d1 = len(img1.features[0].desc) if img1.features else 0
@@ -68,7 +72,7 @@ def _run_one_pair(dir1: str, dir2: str, out: str, args) -> dict:
     if img1.features and img2.features and d1 != d2:
         raise formats.DimensionMismatchError(f"descriptor dims differ: {d1} vs {d2}")
 
-    ms, report = match_pair(img1, img2, mp, vp, sp, mode=args.mode)
+    ms, report = match_pair(img1, img2, *params, mode=args.mode)
     os.makedirs(out, exist_ok=True)
     formats.write_matches(os.path.join(out, "matches.txt"), ms)
     formats.write_groups(os.path.join(out, "groups.txt"), ms.groups)
@@ -82,6 +86,7 @@ def _run_one_pair(dir1: str, dir2: str, out: str, args) -> dict:
 
 
 def cmd_match(args) -> int:
+    params = _params_from_args(args)
     if args.pairs_file:
         jobs = []
         for no, line in formats._lines(args.pairs_file):
@@ -91,28 +96,27 @@ def cmd_match(args) -> int:
             jobs.append(parts)
         if args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_run_one_pair, a, b, o, args) for a, b, o in jobs]
+                futures = [
+                    pool.submit(_run_one_pair, a, b, o, args, params) for a, b, o in jobs
+                ]
                 reports = [f.result() for f in futures]
         else:
-            reports = [_run_one_pair(a, b, o, args) for a, b, o in jobs]
+            reports = [_run_one_pair(a, b, o, args, params) for a, b, o in jobs]
         for (a, b, _o), rep in zip(jobs, reports):
             print(f"{a} {b}: groups={rep['groups']} guided={rep['guided_matches']} "
                   f"additional={rep['additional_matches']}")
         return 0
 
-    rep = _run_one_pair(args.dir1, args.dir2, args.out, args)
+    rep = _run_one_pair(args.dir1, args.dir2, args.out, args, params)
     for k, v in rep.items():
         print(f"{k} {v}")
     return 0
 
 
 def cmd_vps(args) -> int:
+    _mp, vp_params, _sp = _params_from_args(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    vp_params = VpParams(angle_thresh=args.angle_thresh, rng_seed=args.seed)
-    vps = classify(
-        estimate_vps(segments, vp_params), vp_params,
-        center=(args.width / 2.0, args.height / 2.0),
-    )
+    vps = image_vps(segments, args.width, args.height, vp_params)
     if args.out:
         formats.write_vps(args.out, vps)
     for vp in vps:
@@ -122,27 +126,15 @@ def cmd_vps(args) -> int:
 
 
 def cmd_rectify(args) -> int:
+    _mp, vp_params, seg_params = _params_from_args(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    vp_params = VpParams(angle_thresh=args.angle_thresh, rng_seed=args.seed)
-    vps = classify(
-        estimate_vps(segments, vp_params), vp_params,
-        center=(args.width / 2.0, args.height / 2.0),
+    built, intervals = build_plane_rectifiers(
+        segments, args.width, args.height, vp_params, seg_params
     )
-    horizontal = [vp for vp in vps if vp.orientation == HORIZONTAL]
-    vertical = best_by_orientation(vps, VERTICAL)
-    intervals = segment_columns(segments, horizontal, args.width, SegParams())
-    rectifiers = []
-    for facade_id, iv in enumerate(intervals):
-        plane_segs = [s for s in segments if iv.lo <= s.midpoint[0] < iv.hi]
-        try:
-            rectifiers.append(
-                build_rectifier(
-                    horizontal[iv.plane_id].point, vertical.point, plane_segs,
-                    (args.width, args.height), facade_id,
-                )
-            )
-        except DegenerateInputError as exc:
-            print(f"plane {facade_id}: {exc}", file=sys.stderr)
+    for facade_id, r in enumerate(built):
+        if r is None:
+            print(f"plane {facade_id}: degenerate rectifier, skipped", file=sys.stderr)
+    rectifiers = [r for r in built if r is not None]
     os.makedirs(args.out, exist_ok=True)
     formats.write_rectifiers(os.path.join(args.out, "rectifiers.txt"), rectifiers)
     formats.write_intervals(os.path.join(args.out, "intervals.txt"), intervals)
@@ -270,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (formats.ParseError, FileNotFoundError) as exc:
+    except (formats.ParseError, FileNotFoundError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except formats.DimensionMismatchError as exc:

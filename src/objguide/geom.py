@@ -6,7 +6,7 @@ Points and lines compare equal up to a nonzero scale factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -412,8 +412,7 @@ def dlt_homography_h(
         weights = np.ones(n)
 
     def finite_xy(pts_h):
-        w = pts_h[:, 2]
-        mask = np.abs(w) >= INFINITY_EPS * np.hypot(pts_h[:, 0], pts_h[:, 1])
+        mask = ~_at_infinity(pts_h)
         return pts_h[mask, :2] / pts_h[mask, 2:3]
 
     fs = finite_xy(src_h)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import (
-    INFINITY_EPS,
     DegenerateInputError,
     DetBox,
     EstimationError,
     Homography,
     LineSegment,
     QuadBox,
+    _at_infinity,
     dlt_homography_h,
     quad_iou,
 )
@@ -46,8 +46,7 @@ from .vanishing import (
     VanishingPoint,
     VpParams,
     best_by_orientation,
-    classify,
-    estimate_vps,
+    image_vps,
 )
 
 
@@ -127,13 +126,13 @@ def refine_homography(
     return refined
 
 
-def support_region(g: ObjectGroup, boxes: list[QuadBox], margin: float):
-    """Membership predicate over the group's dilated supporting quads."""
-    quads = [boxes[i].dilated(margin) for i, _ in g.pairs]
-
-    def inside(point: np.ndarray) -> bool:
-        return any(q.contains(point) for q in quads)
-
+def support_region(
+    g: ObjectGroup, boxes: list[QuadBox], points: np.ndarray, margin: float
+) -> np.ndarray:
+    """Mask of the points (N, 2) inside any of the group's dilated supporting quads."""
+    inside = np.zeros(len(points), dtype=bool)
+    for i, _ in g.pairs:
+        inside |= boxes[i].dilated(margin).contains_points(points)
     return inside
 
 
@@ -155,22 +154,22 @@ def guided_match(
     """
     claimed1 = claimed1 or set()
     claimed2 = claimed2 or set()
-    region = support_region(g, boxes1, params.margin)
     pool2 = [f for f in feats2 if f.id not in claimed2]
     if not pool2:
         return []
     pos2 = np.array([f.pos for f in pool2])
     desc2 = np.array([f.desc for f in pool2])
 
+    pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in claimed1]
+    pos1 = np.array([f.pos for f in pool1], dtype=float).reshape(-1, 2)
+    ph = g.H._map_h(pos1)
+    usable = support_region(g, boxes1, pos1, params.margin) & ~_at_infinity(ph)
+
     cand_lists: dict[int, list[tuple[float, int]]] = {}
     order1 = []
-    for f in sorted(feats1, key=lambda f: f.id):
-        if f.id in claimed1 or not region(f.pos):
-            continue
-        ph = g.H.apply(np.array([f.pos[0], f.pos[1], 1.0]))
-        if abs(ph[2]) < INFINITY_EPS * np.hypot(ph[0], ph[1]):
-            continue
-        proj = ph[:2] / ph[2]
+    for k in np.flatnonzero(usable):
+        f = pool1[k]
+        proj = ph[k, :2] / ph[k, 2]
         d = np.linalg.norm(pos2 - proj, axis=1)
         near = np.flatnonzero(d <= params.r_search)
         if len(near) == 0:
@@ -288,9 +287,9 @@ def _detection_streams(
             except BackprojectionError:
                 continue
     # Detections in a rectified frame are already aligned with the plane's
-    # vanishing directions, so adjustment there is the identity.
-    rectified_adjusted = list(rectified)
-    return orthogonal, adjusted, rectified, rectified_adjusted
+    # vanishing directions, so adjustment there is the identity: the
+    # rectified stream doubles as the adjusted rectified stream.
+    return orthogonal, adjusted, rectified, rectified
 
 
 def match_pair(
@@ -314,11 +313,7 @@ def match_pair(
     boxes = []
     vps_all = []
     for tag, img in (("1", img1), ("2", img2)):
-        vps = classify(
-            estimate_vps(img.segments, vp_params),
-            vp_params,
-            center=(img.width / 2.0, img.height / 2.0),
-        )
+        vps = image_vps(img.segments, img.width, img.height, vp_params)
         vps_all.append(vps)
         streams = _detection_streams(img, vps, vp_params, seg_params)
         merged = merge_detections(*streams, mode)

@@ -8,7 +8,7 @@ and the search repeats until no hypothesis is supported by two pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class MatchParams:
     vp_weight: float | None = None  # None: one corner-set per supporting pair
 
     def __post_init__(self):
+        if self.k_candidates < 1:
+            raise ValueError("k_candidates must be >= 1")
         if not (0.0 < self.eps_iou <= 1.0):
             raise ValueError("eps_iou must be in (0, 1]")
         if self.gem_p < 1.0:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
-    INFINITY_EPS,
     DegenerateInputError,
     DetBox,
     Homography,
     LineSegment,
     QuadBox,
+    _at_infinity,
     bbox_overlaps,
     canonical_quad_order,
     quad_iou,
@@ -30,8 +30,7 @@ from .vanishing import (
     VpParams,
     _residual_matrix,
     best_by_orientation,
-    classify,
-    estimate_vps,
+    image_vps,
     residual_angle,
 )
 
@@ -130,11 +129,10 @@ def build_rectifier(
     bp = b @ p
     endpoints = np.array([e for s in segments for e in (s.p, s.q)])
     ph = np.column_stack([endpoints, np.ones(len(endpoints))]) @ bp.T
-    w = ph[:, 2]
-    good = np.abs(w) > INFINITY_EPS * np.hypot(ph[:, 0], ph[:, 1])
+    good = ~_at_infinity(ph)
     if good.sum() < 2:
         raise RectifierDegenerateError("all segment endpoints near the vanishing line")
-    mapped = ph[good, :2] / w[good, None]
+    mapped = ph[good, :2] / ph[good, 2:]
     orig = endpoints[good]
 
     s_mat = np.eye(3)
@@ -260,16 +258,13 @@ def build_plane_rectifiers(
     """Estimate vanishing points, segment columns, and build one rectifier
     per facade (numbered left to right by column interval).
 
-    Entries are None where the rectifier is degenerate.  Both the matching
-    pipeline and any simulation of detections in rectified frames must use
-    this routine so that they agree on the rectified coordinate frames.
+    Entries are None where the rectifier is degenerate.  The matching
+    pipeline, the rectify command and any simulation of detections in
+    rectified frames all use this routine, so they agree on the rectified
+    coordinate frames.
     """
     if vps is None:
-        vps = classify(
-            estimate_vps(segments, vp_params),
-            vp_params,
-            center=(width / 2.0, height / 2.0),
-        )
+        vps = image_vps(segments, width, height, vp_params)
     horizontal = [vp for vp in vps if vp.orientation == HORIZONTAL]
     try:
         vertical = best_by_orientation(vps, VERTICAL)

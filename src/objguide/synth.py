@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import DetBox, Homography, LineSegment, QuadBox, normalize_h
+from .geom import DetBox, Homography, LineSegment, QuadBox, is_infinite, normalize_h
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature
 from .rectify import SegParams, build_plane_rectifiers
@@ -366,7 +366,7 @@ def pencil_segments(
     vp = np.asarray(vp, dtype=float)
     x0, y0, x1, y1 = region
     out = []
-    infinite = abs(vp[2]) < 1e-9 * np.hypot(vp[0], vp[1])
+    infinite = is_infinite(vp)
     for _ in range(n):
         mid = rng.uniform([x0, y0], [x1, y1])
         d = vp[:2] if infinite else vp[:2] / vp[2] - mid

@@ -8,15 +8,17 @@ its inliers, the inliers are removed, and the next round starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geom import (
-    INFINITY_EPS,
     DegenerateInputError,
     LineSegment,
+    _at_infinity,
+    _hartley_transform,
     intersect,
+    is_infinite,
     normalize_h,
 )
 
@@ -66,7 +68,7 @@ def residual_angle(s: LineSegment, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if np.linalg.norm(v) < 1e-300:
         raise DegenerateInputError("zero vanishing point")
-    if abs(v[2]) < INFINITY_EPS * np.hypot(v[0], v[1]):
+    if is_infinite(v):
         target = v[:2]
     else:
         target = v[:2] / v[2] - s.midpoint
@@ -85,9 +87,8 @@ def _residual_matrix(vps: np.ndarray, dirs: np.ndarray, mids: np.ndarray) -> np.
     Returns a (k, m) array of degrees in [0, 90].
     """
     xy = vps[:, :2]
-    w = vps[:, 2]
-    inf = np.abs(w) < INFINITY_EPS * np.hypot(xy[:, 0], xy[:, 1])
-    safe_w = np.where(inf, 1.0, w)
+    inf = _at_infinity(vps)
+    safe_w = np.where(inf, 1.0, vps[:, 2])
     finite_t = xy[:, None, :] / safe_w[:, None, None] - mids[None, :, :]
     t = np.where(inf[:, None, None], np.broadcast_to(xy[:, None, :], finite_t.shape), finite_t)
     tn = np.linalg.norm(t, axis=2)
@@ -104,10 +105,7 @@ def _refine(p: np.ndarray, q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     Solved in a translated/scaled frame for conditioning at pixel scale.
     """
-    pts = np.vstack([p, q])
-    c = pts.mean(axis=0)
-    s = np.sqrt(2.0) / max(np.linalg.norm(pts - c, axis=1).mean(), 1e-12)
-    t = np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+    t = _hartley_transform(np.vstack([p, q]))
     ph = np.column_stack([p, np.ones(len(p))]) @ t.T
     qh = np.column_stack([q, np.ones(len(q))]) @ t.T
     lines = np.cross(ph, qh)
@@ -184,7 +182,7 @@ def classify(
     vertical_flags = []
     for vp in vps:
         v = vp.point
-        if abs(v[2]) < INFINITY_EPS * np.hypot(v[0], v[1]):
+        if is_infinite(v):
             d = v[:2]
         else:
             d = v[:2] / v[2] - center
@@ -205,6 +203,15 @@ def classify(
         orientation = VERTICAL if k == vertical_idx else HORIZONTAL
         out.append(replace(vp, orientation=orientation))
     return out
+
+
+def image_vps(
+    segments: list[LineSegment], width: float, height: float, params: VpParams
+) -> list[VanishingPoint]:
+    """Vanishing points of one image, oriented about the image center."""
+    return classify(
+        estimate_vps(segments, params), params, center=(width / 2.0, height / 2.0)
+    )
 
 
 def best_by_orientation(vps: list[VanishingPoint], orientation: str) -> VanishingPoint:

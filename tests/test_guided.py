@@ -51,10 +51,10 @@ class TestSupportRegion:
     def test_dilated_membership(self):
         boxes = [QuadBox.from_detbox(DetBox(0, 0, 100, 100))]
         g = ObjectGroup(H=Homography.identity(), pairs=[(0, 0)])
-        region = support_region(g, boxes, margin=0.5)
-        assert region(np.array([50.0, 50.0]))
-        assert region(np.array([-20.0, 50.0]))  # inside the 50% dilation
-        assert not region(np.array([-60.0, 50.0]))
+        # Inside; inside the 50% dilation only; outside the dilation.
+        pts = np.array([[50.0, 50.0], [-20.0, 50.0], [-60.0, 50.0]])
+        mask = support_region(g, boxes, pts, margin=0.5)
+        assert mask.tolist() == [True, True, False]
 
 
 class TestGuidedMatch:

@@ -8,9 +8,9 @@ from objguide.cli import EXIT_DIMENSION, EXIT_PARSE, main
 from objguide.geom import DetBox, Homography, LineSegment, QuadBox
 from objguide.guided import Match, MatchSet
 from objguide.objmatch import Feature, ObjectGroup
-from objguide.rectify import ColumnInterval, Rectifier
+from objguide.rectify import ColumnInterval, Rectifier, SegParams, build_plane_rectifiers
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
-from objguide.vanishing import HORIZONTAL, VanishingPoint
+from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams
 
 
 def _unit(v):
@@ -230,6 +230,57 @@ class TestCli:
         assert rc == 0
         assert os.path.exists(f"{out}/rectifiers.txt")
         assert os.path.exists(f"{out}/intervals.txt")
+
+    def test_rectify_writes_pipeline_rectifiers(self, tmp_path, capsys):
+        # The rectify command writes the frames match_pair and synth use.
+        scene = str(tmp_path / "scene")
+        assert main(["synth", "--out", scene, "--preset", "two-facade", "--seed", "0"]) == 0
+        out = str(tmp_path / "rect")
+        rc = main(["rectify", "--segments", f"{scene}/a/segments.txt",
+                   "--width", "1280", "--height", "960", "--out", out])
+        assert rc == 0
+        segments = formats.read_segments(f"{scene}/a/segments.txt", min_len=20.0)
+        built, intervals = build_plane_rectifiers(segments, 1280, 960, VpParams(), SegParams())
+        assert intervals
+        expected = [r for r in built if r is not None]
+        formats.write_rectifiers(str(tmp_path / "rectifiers.txt"), expected)
+        formats.write_intervals(str(tmp_path / "intervals.txt"), intervals)
+        for name in ("rectifiers.txt", "intervals.txt"):
+            with open(f"{out}/{name}", "rb") as got, open(tmp_path / name, "rb") as want:
+                assert got.read() == want.read()
+        stdout = capsys.readouterr().out.strip().splitlines()
+        assert stdout[-1] == f"planes={len(intervals)} rectifiers={len(expected)}"
+
+    def test_rectify_without_vertical_vp(self, tmp_path, capsys):
+        from objguide.synth import pencil_segments
+
+        rng = np.random.default_rng(0)
+        segs = pencil_segments(np.array([1.0, 0.0, 0.0]), 20, rng)
+        segs += pencil_segments(np.array([1.0, 0.3, 0.0]), 20, rng)
+        path = str(tmp_path / "segments.txt")
+        formats.write_segments(path, segs)
+        out = str(tmp_path / "rect")
+        rc = main(["rectify", "--segments", path, "--width", "1280", "--height", "960",
+                   "--out", out, "--min-seg-len", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "planes=0 rectifiers=0"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iou-thresh", "0"),
+        ("--gem-p", "0.5"),
+        ("--ratio", "0"),
+        ("--angle-thresh", "0"),
+        ("--k-candidates", "-1"),
+    ])
+    def test_invalid_parameter_exit_code(self, tmp_path, capsys, flag, value):
+        scene = _write_scene(tmp_path)
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out"), flag, value])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_parse_error_exit_code(self, tmp_path):
         scene = _write_scene(tmp_path)

@@ -61,6 +61,15 @@ class TestMatchParams:
     def test_eps_iou_one_accepted(self):
         assert MatchParams(eps_iou=1.0).eps_iou == 1.0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_candidates_below_one_rejected(self, k):
+        # candidates() slices order[:k]; k = -1 would silently drop the last one.
+        with pytest.raises(ValueError):
+            MatchParams(k_candidates=k)
+
+    def test_k_candidates_one_accepted(self):
+        assert MatchParams(k_candidates=1).k_candidates == 1
+
 
 class TestBoxDescriptor:
     def test_pools_only_inside_features(self):
