@@ -27,8 +27,9 @@ from .vanishing import (
     LineSegment,
     VanishingPoint,
     VpParams,
+    _residual_matrix,
     best_by_orientation,
-    residual_angle,
+    segment_arrays,
 )
 
 
@@ -37,43 +38,42 @@ class AdjustmentError(DegenerateInputError):
 
 
 def vote_box_vps(
-    box: DetBox,
+    boxes: list[DetBox],
     segments: list[LineSegment],
     vps: list[VanishingPoint],
     params: VpParams,
-) -> tuple[VanishingPoint, VanishingPoint]:
-    """Pick the horizontal and vertical vanishing points supported by the
-    segments around the box.
+) -> list[tuple[VanishingPoint, VanishingPoint]]:
+    """Pick, for every box of one image, the horizontal and vertical
+    vanishing points supported by the segments around it.
 
     A segment votes (with weight = its length) for the vanishing point that
     minimizes its residual angle, provided that residual is within
     params.angle_thresh.  Only segments whose midpoint falls inside the box
     dilated by 50% of its extent take part.  With no local votes the
     globally best-supported vanishing point of each orientation is used.
+    Returns one (horizontal, vertical) pair per box.
     """
-    vp_h_global = best_by_orientation(vps, HORIZONTAL)
-    vp_v_global = best_by_orientation(vps, VERTICAL)
+    h_global = best_by_orientation(vps, HORIZONTAL)
+    v_global = best_by_orientation(vps, VERTICAL)
+    _, _, dirs, mids, lengths = segment_arrays(segments)
+    res = _residual_matrix(np.array([vp.point for vp in vps]), dirs, mids)
+    nearest = np.argmin(res, axis=0)
+    voting = res.min(axis=0) <= params.angle_thresh
 
-    cx, cy = box.center
-    hw, hh = 0.75 * box.width, 0.75 * box.height  # box dilated by 50%
-    votes = np.zeros(len(vps))
-    for s in segments:
-        mx, my = s.midpoint
-        if not (abs(mx - cx) <= hw and abs(my - cy) <= hh):
-            continue
-        res = [residual_angle(s, vp.point) for vp in vps]
-        k = int(np.argmin(res))
-        if res[k] <= params.angle_thresh:
-            votes[k] += s.length
+    def winner(votes, orientation, fallback):
+        ks = [k for k, vp in enumerate(vps) if vp.orientation == orientation and votes[k] > 0]
+        # max keeps the first of equal vote totals
+        return vps[max(ks, key=lambda k: votes[k])] if ks else fallback
 
-    def winner(orientation, fallback):
-        best, best_votes = None, 0.0
-        for k, vp in enumerate(vps):
-            if vp.orientation == orientation and votes[k] > best_votes:
-                best, best_votes = vp, votes[k]
-        return best if best is not None else fallback
-
-    return winner(HORIZONTAL, vp_h_global), winner(VERTICAL, vp_v_global)
+    picks = []
+    for box in boxes:
+        cx, cy = box.center
+        hw, hh = 0.75 * box.width, 0.75 * box.height  # box dilated by 50%
+        local = voting & (np.abs(mids[:, 0] - cx) <= hw) & (np.abs(mids[:, 1] - cy) <= hh)
+        # bincount adds the weights in segment order.
+        votes = np.bincount(nearest[local], weights=lengths[local], minlength=len(vps))
+        picks.append((winner(votes, HORIZONTAL, h_global), winner(votes, VERTICAL, v_global)))
+    return picks
 
 
 def adjust_box(box: DetBox, vp_h: np.ndarray, vp_v: np.ndarray) -> QuadBox:

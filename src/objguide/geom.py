@@ -159,10 +159,6 @@ class Homography:
     def inv(self) -> "Homography":
         return Homography(np.linalg.inv(self.m))
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """Map a homogeneous point; the result may be at infinity."""
-        return self.m @ np.asarray(p, dtype=float)
-
     def map_points(self, pts: np.ndarray) -> np.ndarray:
         """Map an (N, 2) array of finite points to finite points.
 
@@ -281,9 +277,6 @@ class QuadBox:
     @cached_property
     def area(self) -> float:
         return _shoelace_area(self.corners)
-
-    def contains(self, point: np.ndarray, eps: float = 1e-9) -> bool:
-        return bool(self.contains_points(np.reshape(point, (1, 2)), eps)[0])
 
     def contains_points(self, points: np.ndarray, eps: float = 1e-9) -> np.ndarray:
         """Mask of the points (N, 2) inside the quad or within eps of its edges."""

@@ -9,6 +9,7 @@ ratio test.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .objmatch import (
     greedy_match,
     _project_quad,
 )
-from .boxes import AdjustmentError, adjust_box, vote_box_vps
+from .boxes import adjust_box, vote_box_vps
 from .rectify import (
     BackprojectionError,
     SegParams,
@@ -265,13 +266,14 @@ def _detection_streams(
     """Build the O / OA / R / RA quad streams for one image."""
     orthogonal = [QuadBox.from_detbox(b) for b in img.boxes]
 
-    adjusted = []
-    for b in img.boxes:
-        try:
-            vp_h, vp_v = vote_box_vps(b, img.segments, vps, vp_params)
-            adjusted.append(adjust_box(b, vp_h.point, vp_v.point))
-        except (AdjustmentError, MissingVanishingPointError, DegenerateInputError):
-            adjusted.append(QuadBox.from_detbox(b))
+    # A box stays orthogonal when the image lacks a vanishing point of either
+    # orientation or when its adjusted quad is degenerate.
+    adjusted = list(orthogonal)
+    with suppress(MissingVanishingPointError):
+        picks = vote_box_vps(img.boxes, img.segments, vps, vp_params)
+        for n, (vp_h, vp_v) in enumerate(picks):
+            with suppress(DegenerateInputError):
+                adjusted[n] = adjust_box(img.boxes[n], vp_h.point, vp_v.point)
 
     rectified: list[QuadBox] = []
     if img.rect_boxes:

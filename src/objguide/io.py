@@ -7,7 +7,7 @@ with repr(), which round-trips exactly, so parse(serialize(x)) == x.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def read_quads(path: str) -> list[tuple[QuadBox, str]]:
         if len(parts) != 10:
             raise ParseError(path, no, f"expected 10 fields, got {len(parts)}")
         tag = parts[9]
-        if tag != "original" and not tag.startswith("rect:"):
+        if not re.fullmatch(r"original|rect:[+-]?[0-9]+", tag):
             raise ParseError(path, no, f"bad frame tag {tag!r}")
         try:
             vals = [float(p) for p in parts[:9]]
@@ -211,7 +211,10 @@ def read_groups(path: str) -> list[ObjectGroup]:
             pp = pline.split()
             if len(pp) != 2:
                 raise ParseError(path, pno, "expected 'i j'")
-            pairs.append((int(pp[0]), int(pp[1])))
+            try:
+                pairs.append((int(pp[0]), int(pp[1])))
+            except ValueError as exc:
+                raise ParseError(path, pno, str(exc)) from exc
         out.append(ObjectGroup(H=h, pairs=pairs, refined=False))
     return out
 
@@ -282,7 +285,10 @@ def read_image_dir(dirpath: str, min_seg_len: float = 0.0) -> ImageInputs:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(dims_path, no, "expected 'width height'")
-        width, height = int(parts[0]), int(parts[1])
+        try:
+            width, height = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(dims_path, no, str(exc)) from exc
         break
     else:
         raise ParseError(dims_path, 1, "empty dims file")

@@ -31,7 +31,7 @@ from .vanishing import (
     _residual_matrix,
     best_by_orientation,
     image_vps,
-    residual_angle,
+    segment_arrays,
 )
 
 
@@ -181,19 +181,17 @@ def segment_columns(
     if k == 1:
         return [ColumnInterval(0, width, 0)]
 
+    p, q, dirs, mids, _ = segment_arrays(segments)
+    # Segments at most 45 degrees off horizontal vote over the columns they span.
+    near = np.abs(dirs[:, 0]) >= np.abs(dirs[:, 1])
+    res = _residual_matrix(np.array([vp.point for vp in horizontal_vps]), dirs[near], mids[near])
+    conf = np.exp(-res / params.softmax_temp)
+    conf = conf / conf.sum(axis=0)
+    lo = np.maximum(0.0, np.floor(np.minimum(p[near, 0], q[near, 0])))
+    hi = np.minimum(width - 1.0, np.floor(np.maximum(p[near, 0], q[near, 0])))
     votes = np.zeros((width, k))
-    vp_arr = np.array([vp.point for vp in horizontal_vps])
-    for s in segments:
-        d = s.direction
-        if abs(d[0]) < abs(d[1]):  # more than 45 degrees off horizontal
-            continue
-        res = _residual_matrix(vp_arr, d[None, :], s.midpoint[None, :])[:, 0]
-        conf = np.exp(-res / params.softmax_temp)
-        conf = conf / conf.sum()
-        lo = max(0, int(np.floor(min(s.p[0], s.q[0]))))
-        hi = min(width - 1, int(np.floor(max(s.p[0], s.q[0]))))
-        if lo <= hi:
-            votes[lo : hi + 1] += conf
+    for j in np.flatnonzero(lo <= hi):  # in segment order
+        votes[int(lo[j]) : int(hi[j]) + 1] += conf[:, j]
 
     total = votes.sum(axis=1)
     order = np.argsort(-votes, axis=1, kind="stable")
@@ -272,20 +270,21 @@ def build_plane_rectifiers(
     except DegenerateInputError:
         return [], []
 
+    # Fit each scale only on segments in the interval that agree with the
+    # plane's vanishing geometry; off-plane clutter would skew the fit.
+    _, _, dirs, mids, _ = segment_arrays(segments)
+    agree = _residual_matrix(
+        np.array([vp.point for vp in horizontal + [vertical]]), dirs, mids
+    ) <= vp_params.angle_thresh
     rectifiers: list[Rectifier | None] = []
     for facade_id, interval in enumerate(intervals):
         vp_h = horizontal[interval.plane_id]
-        # Fit the scale only on segments in the interval that agree with the
-        # plane's vanishing geometry; off-plane clutter would skew the fit.
-        plane_segs = [
-            s
-            for s in segments
-            if interval.lo <= s.midpoint[0] < interval.hi
-            and min(
-                residual_angle(s, vp_h.point), residual_angle(s, vertical.point)
-            )
-            <= vp_params.angle_thresh
-        ]
+        on_plane = (
+            (agree[interval.plane_id] | agree[-1])
+            & (interval.lo <= mids[:, 0])
+            & (mids[:, 0] < interval.hi)
+        )
+        plane_segs = [segments[i] for i in np.flatnonzero(on_plane)]
         try:
             rectifiers.append(
                 build_rectifier(

@@ -137,7 +137,6 @@ def _plane_segments(plane: PlaneSpec, h: np.ndarray, rng, noise_deg: float) -> l
     w_ext, h_ext = plane.extent
     segs = []
     for quad in _window_world_corners(plane):
-        p = _project(h, quad)
         for a, b in ((0, 1), (3, 2), (0, 3), (1, 2)):
             segs.append((quad[a], quad[b]))
     for r in range(plane.rows + 1):
@@ -456,13 +455,6 @@ def score(
     precision = 1.0 if not mlist else correct / len(mlist)
     recall = 0.0 if not gt.feature_pairs else correct / len(gt.feature_pairs)
     return ScoreReport(precision=precision, recall=recall, n_correct=correct, n_matches=len(mlist))
-
-
-def homography_error(h: Homography, plane_id: int, gt: GroundTruth) -> float:
-    """Max reprojection discrepancy against the planted plane correspondence."""
-    pairs = gt.corner_pairs[plane_id]
-    proj = h.map_points(pairs[:, :2])
-    return float(np.max(np.linalg.norm(proj - pairs[:, 2:], axis=1)))
 
 
 def homography_rms(h: Homography, plane_id: int, gt: GroundTruth) -> float:

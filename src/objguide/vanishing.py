@@ -17,7 +17,6 @@ from .geom import (
     LineSegment,
     _at_infinity,
     _hartley_transform,
-    intersect,
     is_infinite,
     normalize_h,
 )
@@ -57,46 +56,40 @@ class VanishingPoint:
         return len(self.inlier_ids)
 
 
-def vp_from_pair(s1: LineSegment, s2: LineSegment) -> np.ndarray:
-    """Vanishing point candidate from two segments' supporting lines."""
-    return normalize_h(intersect(s1.line, s2.line))
-
-
-def residual_angle(s: LineSegment, v: np.ndarray) -> float:
-    """Angle in degrees between the segment direction and the direction
-    toward the vanishing point (from the segment midpoint when v is finite)."""
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) < 1e-300:
-        raise DegenerateInputError("zero vanishing point")
-    if is_infinite(v):
-        target = v[:2]
-    else:
-        target = v[:2] / v[2] - s.midpoint
-    tn = np.linalg.norm(target)
-    if tn < 1e-12:
-        return 0.0
-    d = s.direction
-    cosang = abs(float(np.dot(d, target))) / (np.linalg.norm(d) * tn)
-    return float(np.degrees(np.arccos(np.clip(cosang, 0.0, 1.0))))
+def segment_arrays(segments: list[LineSegment]) -> tuple[np.ndarray, ...]:
+    """Endpoints p, q, directions q - p, midpoints (each (m, 2)) and lengths (m,)."""
+    p = np.array([s.p for s in segments]).reshape(-1, 2)
+    q = np.array([s.q for s in segments]).reshape(-1, 2)
+    return p, q, q - p, 0.5 * (p + q), np.array([s.length for s in segments], dtype=float)
 
 
 def _residual_matrix(vps: np.ndarray, dirs: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """Residual angles for every (candidate vp, segment) pair.
+    """Angle in degrees, for every (vanishing point, segment) pair, between
+    the segment direction and the direction toward the point (from the
+    segment midpoint when the point is finite).
 
-    vps: (k, 3) homogeneous candidates; dirs/mids: (m, 2) segment data.
-    Returns a (k, m) array of degrees in [0, 90].
+    vps: (k, 3) homogeneous points; dirs/mids: (m, 2) segment data.
+    Returns (k, m) degrees in [0, 90].  atan2(|cross|, |dot|) stays exact
+    near 0 degrees, where arccos of the cosine loses about 1e-6 degrees.
     """
     xy = vps[:, :2]
     inf = _at_infinity(vps)
     safe_w = np.where(inf, 1.0, vps[:, 2])
     finite_t = xy[:, None, :] / safe_w[:, None, None] - mids[None, :, :]
     t = np.where(inf[:, None, None], np.broadcast_to(xy[:, None, :], finite_t.shape), finite_t)
-    tn = np.linalg.norm(t, axis=2)
-    dn = np.linalg.norm(dirs, axis=1)
-    num = np.abs(np.einsum("kmj,mj->km", t, dirs))
-    den = tn * dn[None, :]
-    cosang = np.divide(num, den, out=np.ones_like(num), where=den > 1e-12)
-    return np.degrees(np.arccos(np.clip(cosang, 0.0, 1.0)))
+    cross = np.abs(t[..., 0] * dirs[:, 1] - t[..., 1] * dirs[:, 0])
+    dot = np.abs(np.einsum("kmj,mj->km", t, dirs))
+    den = np.linalg.norm(t, axis=2) * np.linalg.norm(dirs, axis=1)
+    return np.where(den > 1e-12, np.degrees(np.arctan2(cross, dot)), 0.0)
+
+
+def residual_angle(s: LineSegment, v: np.ndarray) -> float:
+    """Residual angle in degrees of one segment against one vanishing point
+    (a one-row view of _residual_matrix)."""
+    v = np.asarray(v, dtype=float)
+    if np.linalg.norm(v) < 1e-300:
+        raise DegenerateInputError("zero vanishing point")
+    return float(_residual_matrix(v[None, :], s.direction[None, :], s.midpoint[None, :])[0, 0])
 
 
 def _refine(p: np.ndarray, q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -125,11 +118,7 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
     n = len(segments)
     if n < 2:
         return []
-    p_arr = np.array([s.p for s in segments])
-    q_arr = np.array([s.q for s in segments])
-    dirs = q_arr - p_arr
-    mids = 0.5 * (p_arr + q_arr)
-    lengths = np.array([s.length for s in segments])
+    p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
     lines = np.array([s.line for s in segments])
     lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
 

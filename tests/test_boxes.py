@@ -2,15 +2,27 @@ import numpy as np
 import pytest
 
 from objguide.boxes import AdjustmentError, adjust_box, vote_box_vps
+from objguide.cli import _preset_scene
 from objguide.geom import DegenerateInputError, DetBox, LineSegment, QuadBox
-from objguide.synth import PlaneSpec, _project, _window_world_corners, slant_p, view_homography
+from objguide.synth import (
+    PlaneSpec,
+    _project,
+    _window_world_corners,
+    generate,
+    pencil_segments,
+    slant_p,
+    view_homography,
+)
 from objguide.vanishing import (
     HORIZONTAL,
     VERTICAL,
     VanishingPoint,
     VpParams,
+    best_by_orientation,
     classify,
     estimate_vps,
+    image_vps,
+    residual_angle,
 )
 
 VP_X_INF = np.array([1.0, 0.0, 0.0])
@@ -81,7 +93,7 @@ class TestVoteBoxVps:
             d = np.array([2000.0, 300.0]) - mid
             d = 30 * d / np.linalg.norm(d)
             segs.append(LineSegment(mid - d / 2, mid + d / 2))
-        vp_h, vp_v = vote_box_vps(box, segs, vps, VpParams())
+        [(vp_h, vp_v)] = vote_box_vps([box], segs, vps, VpParams())
         assert vp_h is vps[1]
         assert vp_v is vps[2]
 
@@ -89,7 +101,7 @@ class TestVoteBoxVps:
         vps = self._vps()
         box = DetBox(10, 10, 60, 60)
         far = [LineSegment((900, 900), (960, 900))]
-        vp_h, vp_v = vote_box_vps(box, far, vps, VpParams())
+        [(vp_h, vp_v)] = vote_box_vps([box], far, vps, VpParams())
         assert vp_h is vps[0]  # best-supported horizontal
         assert vp_v is vps[2]
 
@@ -104,8 +116,88 @@ class TestVoteBoxVps:
         for off in (-20.0, 20.0):
             m = mid + [0, off]
             segs.append(LineSegment(m - [15, 0], m + [15, 0]))
-        vp_h, _ = vote_box_vps(box, segs, vps, VpParams())
+        [(vp_h, _)] = vote_box_vps([box], segs, vps, VpParams())
         assert vp_h is vps[1]
+
+    def test_equal_votes_keep_first(self):
+        # One 30 px segment toward each horizontal point: the first one wins.
+        vp_h2 = np.array([950.0, 750.0, 1.0])
+        vps = [
+            VanishingPoint(VP_X_INF, (0,), HORIZONTAL),
+            VanishingPoint(vp_h2, (1,), HORIZONTAL),
+            VanishingPoint(VP_Y_INF, (2,), VERTICAL),
+        ]
+        segs = [LineSegment((515, 430), (545, 430)), LineSegment((538, 441), (562, 459))]
+        assert [s.length for s in segs] == [30.0, 30.0]
+        box = DetBox(500, 400, 600, 500)
+        assert vote_box_vps([box], segs, vps, VpParams())[0][0] is vps[0]
+        assert vote_box_vps([box], segs, vps[1::-1] + vps[2:], VpParams())[0][0] is vps[1]
+
+
+def _reference_vote(box, segments, vps, params):
+    """Per-box, per-segment loop that vote_box_vps replaces."""
+    cx, cy = box.center
+    hw, hh = 0.75 * box.width, 0.75 * box.height
+    votes = np.zeros(len(vps))
+    for s in segments:
+        mx, my = s.midpoint
+        if not (abs(mx - cx) <= hw and abs(my - cy) <= hh):
+            continue
+        res = [residual_angle(s, vp.point) for vp in vps]
+        k = int(np.argmin(res))
+        if res[k] <= params.angle_thresh:
+            votes[k] += s.length
+
+    def winner(orientation):
+        best, best_votes = best_by_orientation(vps, orientation), 0.0
+        for k, vp in enumerate(vps):
+            if vp.orientation == orientation and votes[k] > best_votes:
+                best, best_votes = vp, votes[k]
+        return best
+
+    return winner(HORIZONTAL), winner(VERTICAL)
+
+
+class TestVoteBoxVpsReference:
+    @pytest.mark.parametrize("preset", ["two-facade", "grid"])
+    def test_same_picks_as_per_box_loop(self, preset):
+        params = VpParams()
+        local = 0
+        for seed in (0, 1):
+            scene = generate(_preset_scene(preset, seed))
+            for img in (scene.img_a, scene.img_b):
+                vps = image_vps(img.segments, img.width, img.height, params)
+                got = vote_box_vps(img.boxes, img.segments, vps, params)
+                assert len(got) == len(img.boxes)
+                for box, (vp_h, vp_v) in zip(img.boxes, got):
+                    ref_h, ref_v = _reference_vote(box, img.segments, vps, params)
+                    assert vp_h is ref_h and vp_v is ref_v
+                    local += vp_h is not best_by_orientation(vps, HORIZONTAL)
+        if preset == "two-facade":
+            # Some boxes (seed 1, view a) outvote the global horizontal point.
+            assert local > 0
+
+    def test_same_picks_on_random_boxes(self):
+        # Four pencils with angular noise and random boxes of many sizes, so
+        # that local votes, thresholds and ties all decide some picks.
+        rng = np.random.default_rng(5)
+        params = VpParams()
+        segs = []
+        for vp in ([2000.0, 300, 1], [-900.0, 400, 1], [0.0, 1, 0], [600.0, 20000, 1]):
+            segs += pencil_segments(np.array(vp), 40, rng, noise_deg=3.0)
+        vps = image_vps(segs, 1280, 960, params)
+        boxes = []
+        for _ in range(300):
+            x, y = rng.uniform(0, 1200, 2)
+            w, h = rng.uniform(5, 300, 2)
+            boxes.append(DetBox(x, y, x + w, y + h))
+        got = vote_box_vps(boxes, segs, vps, params)
+        picks = set()
+        for box, (vp_h, vp_v) in zip(boxes, got):
+            ref_h, ref_v = _reference_vote(box, segs, vps, params)
+            assert vp_h is ref_h and vp_v is ref_v
+            picks.add((id(vp_h), id(vp_v)))
+        assert len(picks) >= 3
 
 
 class TestAdjustmentPipeline:
@@ -118,12 +210,14 @@ class TestAdjustmentPipeline:
         rng = np.random.default_rng(0)
         segs = _plane_segments(plane, h, rng, 0.0)
         vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(640, 480))
-        errs = []
+        trues, boxes = [], []
         for world in _window_world_corners(plane):
             true = _project(h, world)
             lo, hi = true.min(axis=0), true.max(axis=0)
-            box = DetBox(lo[0], lo[1], hi[0], hi[1])
-            vp_h, vp_v = vote_box_vps(box, segs, vps, VpParams())
+            trues.append(true)
+            boxes.append(DetBox(lo[0], lo[1], hi[0], hi[1]))
+        errs = []
+        for box, true, (vp_h, vp_v) in zip(boxes, trues, vote_box_vps(boxes, segs, vps, VpParams())):
             q = adjust_box(box, vp_h.point, vp_v.point)
             errs.append(np.abs(q.corners - true).max())
         assert np.median(errs) < 2.0

@@ -31,7 +31,7 @@ from test_acceptance import _two_plane_spec
 def _reference_descriptors(boxes, feats, dim, p):
     out = []
     for q in boxes:
-        inside = [f.desc for f in feats if q.contains(f.pos)]
+        inside = [f.desc for f in feats if q.contains_points(f.pos[None])[0]]
         out.append(gem_pool(np.array(inside), p) if inside else np.zeros(dim))
     return np.array(out).reshape(len(boxes), dim)
 

@@ -86,7 +86,7 @@ class TestIntersect:
 class TestHomography:
     def test_identity_apply(self):
         h = Homography.identity()
-        assert same_up_to_scale(h.apply(hom_point(3, 4)), [3, 4, 1])
+        assert np.array_equal(h.map_points([[3, 4]]), [[3, 4]])
 
     def test_translation(self):
         h = Homography.translation(2, 0)
@@ -203,9 +203,7 @@ class TestBoxes:
 
     def test_contains(self):
         q = QuadBox.from_detbox(DetBox(0, 0, 1, 1))
-        assert q.contains([0.5, 0.5])
-        assert q.contains([0, 0])
-        assert not q.contains([1.2, 0.5])
+        assert list(q.contains_points([[0.5, 0.5], [0, 0], [1.2, 0.5]])) == [True, True, False]
 
     def test_canonical_order(self):
         corners = np.array([[10, 2], [1, 1], [9, 9], [2, 11]], float)
@@ -226,7 +224,7 @@ class TestBoxes:
         rng = np.random.default_rng(6)
         q = random_convex_quad(rng)
         pts = np.vstack([rng.uniform(0, 1000, (200, 2)), q.corners])
-        assert list(q.contains_points(pts)) == [q.contains(p) for p in pts]
+        assert list(q.contains_points(pts)) == [q.contains_points(p[None])[0] for p in pts]
 
     def test_project_quads_equals_per_quad_projection(self):
         # x = 512 goes to infinity: one quad has a corner on that line, one

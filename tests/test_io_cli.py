@@ -149,6 +149,29 @@ class TestParseErrors:
         with pytest.raises(formats.ParseError):
             formats.read_quads(str(path))
 
+    def test_bad_plane_index(self, tmp_path):
+        path = tmp_path / "quads.txt"
+        path.write_text("0 0 1 0 1 1 0 1 0.5 rect:0\n0 0 1 0 1 1 0 1 0.5 rect:x\n")
+        with pytest.raises(formats.ParseError) as exc:
+            formats.read_quads(str(path))
+        assert exc.value.line_no == 2
+
+    def test_bad_group_pair(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
+        path.write_text(f"0 {h} 2\n0 0\na b\n")
+        with pytest.raises(formats.ParseError) as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == 3
+
+    def test_bad_dims(self, tmp_path):
+        scene = _write_scene(tmp_path)
+        with open(f"{scene}/a/dims.txt", "w") as fh:
+            fh.write("abc 960\n")
+        with pytest.raises(formats.ParseError) as exc:
+            formats.read_image_dir(f"{scene}/a")
+        assert exc.value.path.endswith("dims.txt") and exc.value.line_no == 1
+
     def test_truncated_group(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
@@ -289,6 +312,21 @@ class TestCli:
         rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("name,text", [
+        ("dims.txt", "abc 960\n"),
+        ("quads.txt", "0 0 1 0 1 1 0 1 0.5 rect:x\n"),
+    ])
+    def test_malformed_image_file_exit_code(self, tmp_path, capsys, name, text):
+        scene = _write_scene(tmp_path)
+        with open(f"{scene}/a/{name}", "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scene}/a/{name}:1: ")
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["match", "--dir1", str(tmp_path / "nope1"), "--dir2", str(tmp_path / "nope2"),

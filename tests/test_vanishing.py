@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from objguide.geom import DegenerateInputError, LineSegment, same_up_to_scale
+from objguide.geom import LineSegment
 from objguide.synth import pencil_segments
 from objguide.vanishing import (
     HORIZONTAL,
@@ -10,38 +10,7 @@ from objguide.vanishing import (
     classify,
     estimate_vps,
     residual_angle,
-    vp_from_pair,
 )
-
-
-class TestVpFromPair:
-    def test_parallel_verticals_meet_at_infinity(self):
-        s1 = LineSegment((10, 0), (10, 100))
-        s2 = LineSegment((50, 0), (50, 100))
-        v = vp_from_pair(s1, s2)
-        assert same_up_to_scale(v, [0, 1, 0])
-
-    def test_crossing_diagonals(self):
-        s1 = LineSegment((-10, -10), (10, 10))  # y = x
-        s2 = LineSegment((-10, 10), (10, -10))  # y = -x
-        v = vp_from_pair(s1, s2)
-        assert same_up_to_scale(v, [0, 0, 1])
-
-    def test_converging_segments(self):
-        target = np.array([500.0, 300.0])
-        segs = []
-        for start in ([0.0, 100.0], [0.0, 600.0]):
-            start = np.array(start)
-            d = target - start
-            segs.append(LineSegment(start, start + 0.3 * d))
-        v = vp_from_pair(*segs)
-        assert np.allclose(v[:2] / v[2], target, atol=1e-6)
-
-    def test_collinear_segments_raise(self):
-        s1 = LineSegment((0, 0), (10, 0))
-        s2 = LineSegment((20, 0), (40, 0))
-        with pytest.raises(DegenerateInputError):
-            vp_from_pair(s1, s2)
 
 
 class TestResidualAngle:
@@ -60,6 +29,12 @@ class TestResidualAngle:
     def test_midpoint_on_vp(self):
         s = LineSegment((0, 0), (10, 0))
         assert residual_angle(s, np.array([5.0, 0.0, 1.0])) == 0.0
+
+    def test_exact_near_zero(self):
+        # arccos of a cosine cannot resolve angles this small.
+        a = np.radians(1e-7)
+        s = LineSegment((0, 0), (100 * np.cos(a), 100 * np.sin(a)))
+        assert abs(residual_angle(s, np.array([1.0, 0, 0])) - 1e-7) < 1e-10
 
 
 class TestEstimateVps:
