@@ -12,7 +12,7 @@ from .geom import (
 )
 from .guided import ImageInputs, Match, MatchSet, match_pair
 from .objmatch import Feature, MatchParams, ObjectGroup, greedy_match
-from .rectify import ColumnInterval, Rectifier, SegParams
+from .rectify import ColumnInterval, Rectifier
 from .vanishing import VanishingPoint, VpParams, classify, estimate_vps
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "ObjectGroup",
     "QuadBox",
     "Rectifier",
-    "SegParams",
     "VanishingPoint",
     "VpParams",
     "classify",

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import io as formats
 from .guided import match_pair
 from .objmatch import MatchParams
-from .rectify import MODES, SegParams, build_plane_rectifiers
+from .rectify import MODES, build_plane_rectifiers
 from .synth import (
     NoiseSpec,
     PlaneSpec,
@@ -31,16 +31,20 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_vp_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--angle-thresh", type=float, default=2.0)
+    p.add_argument("--min-seg-len", type=float, default=20.0)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_match_flags(p: argparse.ArgumentParser) -> None:
+    _add_vp_flags(p)
     p.add_argument("--k-candidates", type=int, default=5)
     p.add_argument("--iou-thresh", type=float, default=0.5)
     p.add_argument("--r-search", type=float, default=20.0)
-    p.add_argument("--angle-thresh", type=float, default=2.0)
-    p.add_argument("--min-seg-len", type=float, default=20.0)
     p.add_argument("--gem-p", type=float, default=3.0)
     p.add_argument("--ratio", type=float, default=0.8)
     p.add_argument("--mode", choices=MODES, default="O")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--vp-weight", type=float, default=None)
 
 
@@ -48,20 +52,28 @@ class InvalidParameterError(Exception):
     """A pipeline flag holds a value the parameter classes reject."""
 
 
-def _params_from_args(args) -> tuple[MatchParams, VpParams, SegParams]:
+def _checked(cls, **kwargs):
     try:
-        mp = MatchParams(
-            k_candidates=args.k_candidates,
-            eps_iou=args.iou_thresh,
-            r_search=args.r_search,
-            gem_p=args.gem_p,
-            ratio=args.ratio,
-            vp_weight=args.vp_weight,
-        )
-        vp = VpParams(angle_thresh=args.angle_thresh, rng_seed=args.seed)
+        return cls(**kwargs)
     except ValueError as exc:
         raise InvalidParameterError(f"invalid parameter: {exc}") from exc
-    return mp, vp, SegParams()
+
+
+def _vp_params(args) -> VpParams:
+    return _checked(VpParams, angle_thresh=args.angle_thresh, rng_seed=args.seed)
+
+
+def _params_from_args(args) -> tuple[MatchParams, VpParams]:
+    mp = _checked(
+        MatchParams,
+        k_candidates=args.k_candidates,
+        eps_iou=args.iou_thresh,
+        r_search=args.r_search,
+        gem_p=args.gem_p,
+        ratio=args.ratio,
+        vp_weight=args.vp_weight,
+    )
+    return mp, _vp_params(args)
 
 
 def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
@@ -114,7 +126,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_vps(args) -> int:
-    _mp, vp_params, _sp = _params_from_args(args)
+    vp_params = _vp_params(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
     vps = image_vps(segments, args.width, args.height, vp_params)
     if args.out:
@@ -126,11 +138,9 @@ def cmd_vps(args) -> int:
 
 
 def cmd_rectify(args) -> int:
-    _mp, vp_params, seg_params = _params_from_args(args)
+    vp_params = _vp_params(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    built, intervals = build_plane_rectifiers(
-        segments, args.width, args.height, vp_params, seg_params
-    )
+    built, intervals = build_plane_rectifiers(segments, args.width, args.height, vp_params)
     for facade_id, r in enumerate(built):
         if r is None:
             print(f"plane {facade_id}: degenerate rectifier, skipped", file=sys.stderr)
@@ -223,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--pairs-file", help="batch mode: lines of 'dir1 dir2 outdir'")
     p.add_argument("--jobs", type=int, default=1)
-    _add_pipeline_flags(p)
+    _add_match_flags(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("vps", help="estimate vanishing points from segments")
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--out")
-    _add_pipeline_flags(p)
+    _add_vp_flags(p)
     p.set_defaults(func=cmd_vps)
 
     p = sub.add_parser("rectify", help="plane segmentation and rectifiers")
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
+    _add_vp_flags(p)
     p.set_defaults(func=cmd_rectify)
 
     p = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
@@ -259,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Before any work: a pair without --out would run in full, then fail to write.
+    if args.command == "match" and not args.pairs_file:
+        if None in (args.dir1, args.dir2, args.out):
+            parser.error("match needs --pairs-file, or all of --dir1, --dir2 and --out")
     try:
         return args.func(args)
     except (formats.ParseError, FileNotFoundError, InvalidParameterError) as exc:

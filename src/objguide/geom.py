@@ -14,6 +14,8 @@ import numpy as np
 # A point (x, y, w) counts as "at infinity" when |w| is negligible against
 # the Euclidean part.  Single shared predicate for the whole package.
 INFINITY_EPS = 1e-9
+SCALE_TOL = 1e-9  # same_up_to_scale: |a x b| <= SCALE_TOL |a| |b|
+CONTAINS_EPS = 1e-9  # QuadBox.contains_points: edge slack, as a cross product
 
 
 class GeometryError(Exception):
@@ -64,10 +66,11 @@ def dehomogenize(p: np.ndarray) -> np.ndarray:
     return np.array([p[0] / p[2], p[1] / p[2]])
 
 
-def same_up_to_scale(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+def same_up_to_scale(a: np.ndarray, b: np.ndarray) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(np.cross(a, b))) <= tol * np.linalg.norm(a) * np.linalg.norm(b)
+    cross = float(np.linalg.norm(np.cross(a, b)))
+    return cross <= SCALE_TOL * np.linalg.norm(a) * np.linalg.norm(b)
 
 
 def line_through(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -174,9 +177,6 @@ class Homography:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         return np.column_stack([pts, np.ones(len(pts))]) @ self.m.T
 
-    def __matmul__(self, other: "Homography") -> "Homography":
-        return Homography(self.m @ other.m)
-
 
 @dataclass(frozen=True)
 class DetBox:
@@ -278,14 +278,14 @@ class QuadBox:
     def area(self) -> float:
         return _shoelace_area(self.corners)
 
-    def contains_points(self, points: np.ndarray, eps: float = 1e-9) -> np.ndarray:
-        """Mask of the points (N, 2) inside the quad or within eps of its edges."""
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """Mask of the points (N, 2) inside the quad or within CONTAINS_EPS of its edges."""
         p = np.asarray(points, dtype=float)
         v = self.corners
         e = v[_NEXT] - v
         d = p[:, None, :] - v
         cross = e[:, 0] * d[..., 1] - e[:, 1] * d[..., 0]
-        return np.all(cross >= -eps, axis=1)
+        return np.all(cross >= -CONTAINS_EPS, axis=1)
 
     def dilated(self, margin: float) -> "QuadBox":
         """Scale the quad about its centroid by (1 + margin)."""

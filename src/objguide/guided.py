@@ -35,7 +35,6 @@ from .objmatch import (
 from .boxes import adjust_box, vote_box_vps
 from .rectify import (
     BackprojectionError,
-    SegParams,
     backproject_quad,
     build_plane_rectifiers,
     merge_detections,
@@ -49,6 +48,10 @@ from .vanishing import (
     best_by_orientation,
     image_vps,
 )
+
+
+SUPPORT_MARGIN = 0.5  # dilation of the supporting quads for guided matching
+SIM_THRESH = 0.0  # lowest descriptor cosine a guided candidate may have
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,11 @@ def refine_homography(
     return refined
 
 
-def support_region(
-    g: ObjectGroup, boxes: list[QuadBox], points: np.ndarray, margin: float
-) -> np.ndarray:
+def support_region(g: ObjectGroup, boxes: list[QuadBox], points: np.ndarray) -> np.ndarray:
     """Mask of the points (N, 2) inside any of the group's dilated supporting quads."""
     inside = np.zeros(len(points), dtype=bool)
     for i, _ in g.pairs:
-        inside |= boxes[i].dilated(margin).contains_points(points)
+        inside |= boxes[i].dilated(SUPPORT_MARGIN).contains_points(points)
     return inside
 
 
@@ -164,7 +165,7 @@ def guided_match(
     pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in claimed1]
     pos1 = np.array([f.pos for f in pool1], dtype=float).reshape(-1, 2)
     ph = g.H._map_h(pos1)
-    usable = support_region(g, boxes1, pos1, params.margin) & ~_at_infinity(ph)
+    usable = support_region(g, boxes1, pos1) & ~_at_infinity(ph)
 
     cand_lists: dict[int, list[tuple[float, int]]] = {}
     order1 = []
@@ -177,7 +178,7 @@ def guided_match(
             continue
         sims = desc2[near] @ f.desc
         cands = sorted(
-            ((float(s), pool2[int(k)].id) for s, k in zip(sims, near) if s >= params.sim_thresh),
+            ((float(s), pool2[int(k)].id) for s, k in zip(sims, near) if s >= SIM_THRESH),
             key=lambda t: (-t[0], t[1]),
         )
         if cands:
@@ -257,12 +258,7 @@ class ImageInputs:
     rect_boxes: list[tuple[int, DetBox]] = field(default_factory=list)
 
 
-def _detection_streams(
-    img: ImageInputs,
-    vps: list[VanishingPoint],
-    vp_params: VpParams,
-    seg_params: SegParams,
-):
+def _detection_streams(img: ImageInputs, vps: list[VanishingPoint], vp_params: VpParams):
     """Build the O / OA / R / RA quad streams for one image."""
     orthogonal = [QuadBox.from_detbox(b) for b in img.boxes]
 
@@ -279,7 +275,7 @@ def _detection_streams(
     if img.rect_boxes:
         # Facades are numbered left to right by their column interval.
         rectifiers, _intervals = build_plane_rectifiers(
-            img.segments, img.width, img.height, vp_params, seg_params, vps=vps
+            img.segments, img.width, img.height, vp_params, vps=vps
         )
         for plane, box in img.rect_boxes:
             if not (0 <= plane < len(rectifiers)) or rectifiers[plane] is None:
@@ -299,7 +295,6 @@ def match_pair(
     img2: ImageInputs,
     params: MatchParams | None = None,
     vp_params: VpParams | None = None,
-    seg_params: SegParams | None = None,
     mode: str = "O",
 ) -> tuple[MatchSet, dict]:
     """Run the full pipeline on one image pair.
@@ -309,7 +304,6 @@ def match_pair(
     """
     params = params or MatchParams()
     vp_params = vp_params or VpParams()
-    seg_params = seg_params or SegParams()
 
     report: dict = {"mode": mode}
     boxes = []
@@ -317,7 +311,7 @@ def match_pair(
     for tag, img in (("1", img1), ("2", img2)):
         vps = image_vps(img.segments, img.width, img.height, vp_params)
         vps_all.append(vps)
-        streams = _detection_streams(img, vps, vp_params, seg_params)
+        streams = _detection_streams(img, vps, vp_params)
         merged = merge_detections(*streams, mode)
         boxes.append(merged)
         report[f"vps_{tag}"] = len(vps)

@@ -185,7 +185,7 @@ def write_groups(path: str, groups: list[ObjectGroup]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for gid, g in enumerate(groups):
             h = " ".join(_fmt(v) for v in g.H.m.ravel())
-            fh.write(f"{gid} {h} {len(g.pairs)}\n")
+            fh.write(f"{gid} {h} {len(g.pairs)} {int(g.refined)}\n")
             for i, j in g.pairs:
                 fh.write(f"{i} {j}\n")
 
@@ -195,8 +195,10 @@ def read_groups(path: str) -> list[ObjectGroup]:
     it = _lines(path)
     for no, line in it:
         parts = line.split()
-        if len(parts) != 11:
-            raise ParseError(path, no, f"expected 11 fields, got {len(parts)}")
+        if len(parts) != 12:
+            raise ParseError(path, no, f"expected 12 fields, got {len(parts)}")
+        if parts[11] not in ("0", "1"):
+            raise ParseError(path, no, f"refined flag must be 0 or 1, got {parts[11]!r}")
         try:
             npairs = int(parts[10])
             h = Homography(np.array([float(p) for p in parts[1:10]]).reshape(3, 3))
@@ -215,7 +217,7 @@ def read_groups(path: str) -> list[ObjectGroup]:
                 pairs.append((int(pp[0]), int(pp[1])))
             except ValueError as exc:
                 raise ParseError(path, pno, str(exc)) from exc
-        out.append(ObjectGroup(H=h, pairs=pairs, refined=False))
+        out.append(ObjectGroup(H=h, pairs=pairs, refined=parts[11] == "1"))
     return out
 
 

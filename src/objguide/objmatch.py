@@ -51,9 +51,7 @@ class MatchParams:
     eps_iou: float = 0.5
     gem_p: float = 3.0
     r_search: float = 20.0
-    sim_thresh: float = 0.0
     ratio: float = 0.8
-    margin: float = 0.5  # support-region dilation for guided matching
     vp_weight: float | None = None  # None: one corner-set per supporting pair
 
     def __post_init__(self):
@@ -190,7 +188,8 @@ def _support_score(
     IoU >= eps_iou > 0, and pairing is one-to-one, so the support is at most
     the smaller of the number of such quads and the number of image-2 boxes
     they overlap.  The bound costs no IoU, and IoU is computed only on the
-    overlapping cells.
+    overlapping cells.  Appearance is deliberately ignored here; geometry
+    alone decides.
     """
     rows, proj = project_quads(h, t1.corners)
     cells = bbox_overlaps(proj.min(axis=1), proj.max(axis=1), t2.lo, t2.hi)
@@ -206,21 +205,6 @@ def _support_score(
     local = _greedy_pairs(iou, eps_iou)
     pairs = [(int(rows[hit1[a]]), int(hit2[b])) for a, b in local]
     return pairs, float(sum(iou[a, b] for a, b in local))
-
-
-def support(
-    h: Homography,
-    boxes1: list[QuadBox],
-    boxes2: list[QuadBox],
-    eps_iou: float,
-) -> list[tuple[int, int]]:
-    """Greedy one-to-one pairing of boxes whose projected IoU clears eps_iou.
-
-    Appearance is deliberately ignored here; geometry alone decides.
-    """
-    if not 0.0 < eps_iou <= 1.0:
-        raise ValueError("eps_iou must be in (0, 1]")
-    return _support_score(h, _BoxTable.of(boxes1), _BoxTable.of(boxes2), eps_iou)[0]
 
 
 def greedy_match(

@@ -51,17 +51,12 @@ class Rectifier:
     plane_id: int
 
 
-@dataclass(frozen=True)
-class SegParams:
-    majority_thresh: float = 0.5  # fraction of the column's total vote mass
-    ratio_thresh: float = 1.5  # first-to-second-best vote ratio
-    softmax_temp: float = 2.0  # degrees
-
-    def __post_init__(self):
-        if not (0.0 < self.majority_thresh < 1.0):
-            raise ValueError("majority_thresh must be in (0, 1)")
-        if self.ratio_thresh <= 1.0:
-            raise ValueError("ratio_thresh must exceed 1")
+# A column is labeled when its best plane holds this fraction of the column's
+# total vote mass and beats the second best by this ratio; votes are softmax
+# confidences over residual angles at this temperature (degrees).
+MAJORITY_THRESH = 0.5
+RATIO_THRESH = 1.5
+SOFTMAX_TEMP = 2.0
 
 
 @dataclass(frozen=True)
@@ -160,10 +155,7 @@ def build_rectifier(
 
 
 def segment_columns(
-    segments: list[LineSegment],
-    horizontal_vps: list[VanishingPoint],
-    width: int,
-    params: SegParams,
+    segments: list[LineSegment], horizontal_vps: list[VanishingPoint], width: int
 ) -> list[ColumnInterval]:
     """Partition image columns among the horizontal vanishing points.
 
@@ -185,7 +177,7 @@ def segment_columns(
     # Segments at most 45 degrees off horizontal vote over the columns they span.
     near = np.abs(dirs[:, 0]) >= np.abs(dirs[:, 1])
     res = _residual_matrix(np.array([vp.point for vp in horizontal_vps]), dirs[near], mids[near])
-    conf = np.exp(-res / params.softmax_temp)
+    conf = np.exp(-res / SOFTMAX_TEMP)
     conf = conf / conf.sum(axis=0)
     lo = np.maximum(0.0, np.floor(np.minimum(p[near, 0], q[near, 0])))
     hi = np.minimum(width - 1.0, np.floor(np.maximum(p[near, 0], q[near, 0])))
@@ -198,8 +190,8 @@ def segment_columns(
     first = order[:, 0]
     v1 = votes[np.arange(width), first]
     v2 = votes[np.arange(width), order[:, 1]]
-    confident = (total > 0) & (v1 >= params.majority_thresh * total) & (
-        (v2 <= 0) | (v1 >= params.ratio_thresh * v2)
+    confident = (total > 0) & (v1 >= MAJORITY_THRESH * total) & (
+        (v2 <= 0) | (v1 >= RATIO_THRESH * v2)
     )
 
     if not np.any(confident):
@@ -250,7 +242,6 @@ def build_plane_rectifiers(
     width: int,
     height: int,
     vp_params: VpParams,
-    seg_params: SegParams,
     vps: list[VanishingPoint] | None = None,
 ) -> tuple[list[Rectifier | None], list[ColumnInterval]]:
     """Estimate vanishing points, segment columns, and build one rectifier
@@ -266,7 +257,7 @@ def build_plane_rectifiers(
     horizontal = [vp for vp in vps if vp.orientation == HORIZONTAL]
     try:
         vertical = best_by_orientation(vps, VERTICAL)
-        intervals = segment_columns(segments, horizontal, width, seg_params)
+        intervals = segment_columns(segments, horizontal, width)
     except DegenerateInputError:
         return [], []
 

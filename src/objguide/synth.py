@@ -16,7 +16,7 @@ import numpy as np
 from .geom import DetBox, Homography, LineSegment, QuadBox, is_infinite, normalize_h
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature
-from .rectify import SegParams, build_plane_rectifiers
+from .rectify import build_plane_rectifiers
 from .vanishing import VpParams
 
 
@@ -285,7 +285,7 @@ def generate(spec: SceneSpec) -> Scene:
             (segs_b, [pb for _, pb in window_proj], rect_b),
         ):
             rectifiers, intervals = build_plane_rectifiers(
-                segs, spec.width, spec.height, VpParams(), SegParams()
+                segs, spec.width, spec.height, VpParams()
             )
             for p in projs:
                 cx = float(p[:, 0].mean())

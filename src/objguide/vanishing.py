@@ -29,20 +29,20 @@ class MissingVanishingPointError(DegenerateInputError):
     """A stage that needs a vertical (or horizontal) vanishing point found none."""
 
 
+MIN_INLIERS = 5
+MAX_ITERATIONS = 2000  # RANSAC samples per sequential round
+MAX_VPS = 5
+VERTICAL_CONE = 20.0  # degrees off the image y-axis
+
+
 @dataclass(frozen=True)
 class VpParams:
     angle_thresh: float = 2.0  # degrees
-    min_inliers: int = 5
-    max_iterations: int = 2000  # per sequential round
-    max_vps: int = 5
-    vertical_cone: float = 20.0  # degrees off the image y-axis
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.angle_thresh <= 0.0:
             raise ValueError("angle_thresh must be positive")
-        if self.min_inliers < 2:
-            raise ValueError("min_inliers must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,10 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
     remaining = np.arange(n)
     found: list[VanishingPoint] = []
 
-    while len(found) < params.max_vps and len(remaining) >= max(2, params.min_inliers):
+    while len(found) < MAX_VPS and len(remaining) >= MIN_INLIERS:
         probs = lengths[remaining] / lengths[remaining].sum()
-        i1 = rng.choice(remaining, size=params.max_iterations, p=probs)
-        i2 = rng.choice(remaining, size=params.max_iterations, p=probs)
+        i1 = rng.choice(remaining, size=MAX_ITERATIONS, p=probs)
+        i2 = rng.choice(remaining, size=MAX_ITERATIONS, p=probs)
         cands = np.cross(lines[i1], lines[i2])
         norms = np.linalg.norm(cands, axis=1)
         valid = (i1 != i2) & (norms > 1e-12)
@@ -139,13 +139,13 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
         res = _residual_matrix(cands, dirs[remaining], mids[remaining])
         counts = (res <= params.angle_thresh).sum(axis=1)
         best = int(np.argmax(counts))
-        if counts[best] < params.min_inliers:
+        if counts[best] < MIN_INLIERS:
             break
         cons = remaining[res[best] <= params.angle_thresh]
         point = _refine(p_arr[cons], q_arr[cons], lengths[cons])
         res_ref = _residual_matrix(point[None, :], dirs[remaining], mids[remaining])[0]
         inliers = remaining[res_ref <= params.angle_thresh]
-        if len(inliers) < params.min_inliers:
+        if len(inliers) < MIN_INLIERS:
             break
         found.append(VanishingPoint(point=point, inlier_ids=tuple(int(i) for i in inliers)))
         keep = res_ref > params.angle_thresh
@@ -163,9 +163,10 @@ def classify(
     """Assign vertical/horizontal orientations.
 
     A vanishing point is a vertical candidate when its direction (seen from
-    the image center for finite points) is within params.vertical_cone of
-    the image y-axis.  Only the best-supported candidate keeps the vertical
-    label; every other point is horizontal.
+    the image center for finite points) is within VERTICAL_CONE of the
+    image y-axis.  Only the best-supported candidate keeps the vertical
+    label; every other point is horizontal.  No field of params is read; the
+    argument stays because callers pass it positionally.
     """
     center = np.asarray(center, dtype=float)
     vertical_flags = []
@@ -180,7 +181,7 @@ def classify(
             vertical_flags.append(False)
             continue
         off_y = np.degrees(np.arccos(np.clip(abs(d[1]) / dn, 0.0, 1.0)))
-        vertical_flags.append(off_y <= params.vertical_cone)
+        vertical_flags.append(off_y <= VERTICAL_CONE)
 
     vertical_idx = None
     for k, flag in enumerate(vertical_flags):

@@ -41,7 +41,6 @@ from objguide.io import (
 )
 from objguide.objmatch import Feature, MatchParams, ObjectGroup, greedy_match
 from objguide.rectify import (
-    SegParams,
     backproject_quad,
     build_plane_rectifiers,
     segment_columns,
@@ -207,7 +206,7 @@ def test_criterion_4_rectifier_contract():
                     LineSegment(s.p + rng.normal(0, 1, 2), s.q + rng.normal(0, 1, 2))
                     for s in segs
                 ]
-            rectifiers, _ = build_plane_rectifiers(segs, 1280, 960, VpParams(), SegParams())
+            rectifiers, _ = build_plane_rectifiers(segs, 1280, 960, VpParams())
             r = rectifiers[0]
             assert r is not None
             for vp in (r.vp_h, r.vp_v):
@@ -245,7 +244,7 @@ def test_criterion_5_plane_segmentation():
             VanishingPoint(normalize_h(vp_l), tuple(range(60)), HORIZONTAL),
             VanishingPoint(normalize_h(vp_r), tuple(range(60, 120)), HORIZONTAL),
         ]
-        out = segment_columns(segs, vps, 1000, SegParams())
+        out = segment_columns(segs, vps, 1000)
         assert [iv.plane_id for iv in out] == [0, 1]
         assert out[0].lo == 0 and out[-1].hi == 1000
         assert g0 <= out[0].hi <= g0 + 40

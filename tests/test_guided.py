@@ -53,7 +53,7 @@ class TestSupportRegion:
         g = ObjectGroup(H=Homography.identity(), pairs=[(0, 0)])
         # Inside; inside the 50% dilation only; outside the dilation.
         pts = np.array([[50.0, 50.0], [-20.0, 50.0], [-60.0, 50.0]])
-        mask = support_region(g, boxes, pts, margin=0.5)
+        mask = support_region(g, boxes, pts)
         assert mask.tolist() == [True, True, False]
 
 

@@ -8,7 +8,7 @@ from objguide.cli import EXIT_DIMENSION, EXIT_PARSE, main
 from objguide.geom import DetBox, Homography, LineSegment, QuadBox
 from objguide.guided import Match, MatchSet
 from objguide.objmatch import Feature, ObjectGroup
-from objguide.rectify import ColumnInterval, Rectifier, SegParams, build_plane_rectifiers
+from objguide.rectify import ColumnInterval, Rectifier, build_plane_rectifiers
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
 from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams
 
@@ -86,13 +86,18 @@ class TestRoundTrips:
 
     def test_groups_exact(self, tmp_path):
         h = Homography(np.eye(3) + 0.01 * np.arange(9).reshape(3, 3))
-        groups = [ObjectGroup(H=h, pairs=[(0, 1), (2, 0)]), ObjectGroup(H=h, pairs=[(3, 3)])]
+        groups = [
+            ObjectGroup(H=h, pairs=[(0, 1), (2, 0)], refined=True),
+            ObjectGroup(H=h, pairs=[(3, 3)]),
+        ]
         path = str(tmp_path / "groups.txt")
         formats.write_groups(path, groups)
         back = formats.read_groups(path)
+        assert len(back) == len(groups)
         for g, r in zip(groups, back):
             assert g.pairs == r.pairs
             assert np.array_equal(g.H.m, r.H.m)
+            assert g.refined == r.refined
 
     def test_feature_pairs_exact(self, tmp_path):
         pairs = {0: 4, 1: 2, 3: 0}
@@ -159,7 +164,7 @@ class TestParseErrors:
     def test_bad_group_pair(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
-        path.write_text(f"0 {h} 2\n0 0\na b\n")
+        path.write_text(f"0 {h} 2 0\n0 0\na b\n")
         with pytest.raises(formats.ParseError) as exc:
             formats.read_groups(str(path))
         assert exc.value.line_no == 3
@@ -175,9 +180,17 @@ class TestParseErrors:
     def test_truncated_group(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
-        path.write_text(f"0 {h} 2\n0 0\n")
-        with pytest.raises(formats.ParseError):
+        path.write_text(f"0 {h} 2 0\n0 0\n")
+        with pytest.raises(formats.ParseError, match="truncated group record"):
             formats.read_groups(str(path))
+
+    def test_bad_refined_flag(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
+        path.write_text(f"0 {h} 1 yes\n0 0\n")
+        with pytest.raises(formats.ParseError, match="refined flag") as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == 1
 
 
 def _write_scene(tmp_path, seed=0):
@@ -263,7 +276,7 @@ class TestCli:
                    "--width", "1280", "--height", "960", "--out", out])
         assert rc == 0
         segments = formats.read_segments(f"{scene}/a/segments.txt", min_len=20.0)
-        built, intervals = build_plane_rectifiers(segments, 1280, 960, VpParams(), SegParams())
+        built, intervals = build_plane_rectifiers(segments, 1280, 960, VpParams())
         assert intervals
         expected = [r for r in built if r is not None]
         formats.write_rectifiers(str(tmp_path / "rectifiers.txt"), expected)
@@ -304,6 +317,27 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not os.path.exists(tmp_path / "out")
+
+    def test_match_without_pair_is_usage_error(self, tmp_path, capsys):
+        # Rejected before any work, so no output directory appears.
+        scene = _write_scene(tmp_path)
+        out = str(tmp_path / "out")
+        for args in ([], ["--dir1", f"{scene}/a", "--dir2", f"{scene}/b"], ["--out", out]):
+            with pytest.raises(SystemExit) as exc:
+                main(["match", *args])
+            assert exc.value.code == EXIT_PARSE
+            assert "--pairs-file" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["vps", "rectify"])
+    @pytest.mark.parametrize("flag,value", [("--iou-thresh", "0"), ("--mode", "O")])
+    def test_match_only_flag_rejected(self, tmp_path, capsys, command, flag, value):
+        scene = _write_scene(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--segments", f"{scene}/a/segments.txt", "--width", "1280",
+                  "--height", "960", "--out", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == EXIT_PARSE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         scene = _write_scene(tmp_path)

@@ -6,12 +6,13 @@ from objguide.objmatch import (
     Feature,
     MatchParams,
     NoDescriptorError,
+    _BoxTable,
+    _support_score,
     box_descriptor,
     candidates,
     gem_pool,
     greedy_match,
     hypothesis,
-    support,
 )
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
 
@@ -103,6 +104,11 @@ class TestCandidates:
 
     def test_empty(self):
         assert candidates(0, np.array([_unit([1.0, 0])]), np.empty((0, 2)), 3) == []
+
+
+def support(h, b1, b2, eps):
+    """Greedy one-to-one IoU support of h, as greedy_match scores it."""
+    return _support_score(h, _BoxTable.of(b1), _BoxTable.of(b2), eps)[0]
 
 
 class TestSupport:

@@ -6,7 +6,6 @@ from objguide.rectify import (
     MODES,
     ColumnInterval,
     RectifierDegenerateError,
-    SegParams,
     backproject_quad,
     build_rectifier,
     merge_detections,
@@ -102,7 +101,7 @@ class TestSegmentColumns:
 
     def test_single_vp_full_width(self):
         vp = self._vp([1, 0, 0], range(10))
-        out = segment_columns([], [vp], 640, SegParams())
+        out = segment_columns([], [vp], 640)
         assert out == [ColumnInterval(0, 640, 0)]
 
     def test_two_facades_boundary_in_gap(self):
@@ -112,7 +111,7 @@ class TestSegmentColumns:
         segs = pencil_segments(vp_l, 60, rng, region=(0, 100, 480, 860))
         segs += pencil_segments(vp_r, 60, rng, region=(520, 100, 1000, 860))
         vps = [self._vp(vp_l, range(60)), self._vp(vp_r, range(60, 120))]
-        out = segment_columns(segs, vps, 1000, SegParams())
+        out = segment_columns(segs, vps, 1000)
         assert [iv.plane_id for iv in out] == [0, 1]
         boundary = out[0].hi
         assert 480 <= boundary <= 520
@@ -125,7 +124,7 @@ class TestSegmentColumns:
         segs = pencil_segments(vp_l, 40, rng, region=(0, 0, 300, 700))
         segs += pencil_segments(vp_r, 40, rng, region=(340, 0, 640, 700))
         vps = [self._vp(vp_l, range(40)), self._vp(vp_r, range(40, 80))]
-        out = segment_columns(segs, vps, 640, SegParams())
+        out = segment_columns(segs, vps, 640)
         assert out[0].lo == 0 and out[-1].hi == 640
         for a, b in zip(out, out[1:]):
             assert a.hi == b.lo
@@ -137,12 +136,12 @@ class TestSegmentColumns:
             self._vp([1, 0, 0], range(30)),
             self._vp([3000.0, 200.0, 1.0], range(30, 50)),
         ]
-        out = segment_columns(segs, vps, 640, SegParams())
+        out = segment_columns(segs, vps, 640)
         assert out == [ColumnInterval(0, 640, 0)]
 
     def test_no_horizontal_vp_raises(self):
         with pytest.raises(DegenerateInputError):
-            segment_columns([], [], 640, SegParams())
+            segment_columns([], [], 640)
 
 
 class TestMergeDetections:
