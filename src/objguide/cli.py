@@ -271,9 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Before any work: a pair without --out would run in full, then fail to write.
-    if args.command == "match" and not args.pairs_file:
-        if None in (args.dir1, args.dir2, args.out):
+    # Before any work: a pair without --out would run in full, then fail to
+    # write, and batch mode would silently ignore the single-pair flags.
+    if args.command == "match":
+        single = (args.dir1, args.dir2, args.out)
+        if args.pairs_file and any(v is not None for v in single):
+            parser.error("match takes --pairs-file or --dir1/--dir2/--out, not both")
+        if not args.pairs_file and None in single:
             parser.error("match needs --pairs-file, or all of --dir1, --dir2 and --out")
     try:
         return args.func(args)

@@ -7,7 +7,6 @@ Points and lines compare equal up to a nonzero scale factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -274,10 +273,6 @@ class QuadBox:
     def centroid(self) -> np.ndarray:
         return self.corners.mean(axis=0)
 
-    @cached_property
-    def area(self) -> float:
-        return _shoelace_area(self.corners)
-
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Mask of the points (N, 2) inside the quad or within CONTAINS_EPS of its edges."""
         p = np.asarray(points, dtype=float)
@@ -293,90 +288,135 @@ class QuadBox:
         return QuadBox(c + (1.0 + margin) * (self.corners - c), self.score)
 
 
-def _shoelace_area(poly: np.ndarray) -> float:
-    x = poly[:, 0]
-    y = poly[:, 1]
-    x_next = np.concatenate((x[1:], x[:1]))
-    y_next = np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
+def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace areas (K,) of polygons in a padded vertex buffer (K, W, 2)
+    whose row k holds count[k] vertices.
+
+    Rows with equal vertex counts share one np.vecdot on strided views: a
+    zero-padded dot product rounds differently from the unpadded one.
+    """
+    area = np.zeros(len(poly))
+    # The vertex counts present; np.unique would import numpy.ma.
+    for n in np.flatnonzero(np.bincount(count)[1:]) + 1:
+        rows = np.flatnonzero(count == n)
+        p = poly[rows, :n]
+        x, y = p[..., 0], p[..., 1]
+        x_next = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+        y_next = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
+        dots = np.vecdot(x, y_next) - np.vecdot(y, x_next)
+        area[rows] = 0.5 * np.abs(dots)
+    return area
 
 
-def project_quads(h: Homography, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def project_quads(
+    h: Homography | np.ndarray, corners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Map quads (N, 4, 2) under h, as QuadBox(canonical_quad_order(h.map_points(q)))
     does for one quad.
 
-    Returns the indices of the quads whose images are finite and strictly
-    convex, and those images (K, 4, 2) in canonical corner order.
+    h is a Homography or a stack of homography matrices (K, 3, 3).  Returns
+    the mask (N,) or (K, N) of the images that are finite and strictly
+    convex, and every image (N, 4, 2) or (K, N, 4, 2) in canonical corner
+    order; an image outside the mask holds meaningless finite values.
     """
+    if isinstance(h, Homography):
+        valid, quads = project_quads(h.m[None], corners)
+        return valid[0], quads[0]
+    corners = np.asarray(corners, dtype=float)
     n = len(corners)
-    ph = h._map_h(corners).reshape(n, 4, 3)
-    finite = np.flatnonzero(~np.any(_at_infinity(ph), axis=1))
-    ph = ph[finite]
-    quads = canonical_quad_order(ph[..., :2] / ph[..., 2:])
-    convex = np.all(_edge_crosses(quads) > 0, axis=1)
-    return finite[convex], quads[convex]
+    pts = np.column_stack([corners.reshape(-1, 2), np.ones(4 * n)])
+    # A stacked matmul: each matrix's product is bit-identical to its
+    # Homography._map_h (an einsum or one flattened matmul is not).
+    ph = (pts @ np.swapaxes(h, 1, 2)).reshape(len(h), n, 4, 3)
+    finite = ~np.any(_at_infinity(ph), axis=2)
+    w = np.where(finite[..., None, None], ph[..., 2:], 1.0)
+    quads = canonical_quad_order((ph[..., :2] / w).reshape(-1, 4, 2)).reshape(ph.shape[:-1] + (2,))
+    return finite & np.all(_edge_crosses(quads) > 0, axis=-1), quads
 
 
 def bbox_overlaps(
     lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
 ) -> np.ndarray:
-    """(Na, Nb) mask of axis-aligned boxes, given as min/max corners (N, 2),
-    whose interiors intersect.  Quads with disjoint bounding boxes have IoU 0."""
-    return np.all((hi_b[None] > lo_a[:, None]) & (lo_b[None] < hi_a[:, None]), axis=2)
+    """(..., Na, Nb) mask of axis-aligned boxes, given as min/max corners
+    (..., N, 2), whose interiors intersect.  Quads with disjoint bounding
+    boxes have IoU 0."""
+    # Built in place: for a grouping round, the mask is the largest array.
+    cells = hi_b[..., None, :, 0] > lo_a[..., :, None, 0]
+    cells &= lo_b[..., None, :, 0] < hi_a[..., :, None, 0]
+    cells &= hi_b[..., None, :, 1] > lo_a[..., :, None, 1]
+    cells &= lo_b[..., None, :, 1] < hi_a[..., :, None, 1]
+    return cells
 
 
-def clip_convex(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by a convex polygon.
+def _clip_by_quads(subject: np.ndarray, count: np.ndarray, clipper: np.ndarray):
+    """Sutherland-Hodgman clip of convex polygons by convex quads (K, 4, 2).
 
-    Both polygons must be in positive-shoelace order (image coords, y down).
-    Returns the intersection polygon, possibly empty.
+    subject (K, W, 2) is a padded vertex buffer whose row k holds count[k]
+    vertices.  Returns the clipped buffer and counts.  Each vertex is
+    computed by the same floating-point operations, in the same order, as
+    in the textbook loop over one polygon, so no result depends on the
+    stacking.
     """
-    output = [tuple(p) for p in np.asarray(subject, dtype=float)]
-    clipper = np.asarray(clipper, dtype=float)
-    for k in range(len(clipper)):
-        if not output:
-            return np.empty((0, 2))
-        a = clipper[k]
-        b = clipper[(k + 1) % len(clipper)]
-        ex, ey = b[0] - a[0], b[1] - a[1]
+    rows = np.arange(len(subject))[:, None]
+    # Clip edge k starts at corner[:, k] and runs along edge[:, k].
+    corner = clipper
+    edge = clipper[:, _NEXT] - corner
+    for k in range(4):
+        if not count.any():
+            break
+        ax, ay, ex, ey = corner[:, k, 0], corner[:, k, 1], edge[:, k, 0], edge[:, k, 1]
+        j = np.arange(subject.shape[1])
+        live = j < count[:, None]
+        inside = (
+            ex[:, None] * (subject[..., 1] - ay[:, None])
+            - ey[:, None] * (subject[..., 0] - ax[:, None])
+            >= 0.0
+        )
+        # Each vertex e follows s, the previous live vertex (cyclically).
+        prev = np.where(j == 0, count[:, None] - 1, j - 1)
+        cross = live & (inside != inside[rows, prev])
+        keep = live & inside
+        # A vertex slot emits the crossing of edge s-e, then e itself.
+        emitted = cross.astype(int) + keep
+        start = np.cumsum(emitted, axis=1) - emitted
+        count = emitted.sum(axis=1)
+        out = np.zeros((len(subject), count.max(initial=0), 2))
+        r, c = np.nonzero(cross)
+        s, e = subject[r, prev[r, c]], subject[r, c]
+        dx, dy = e[:, 0] - s[:, 0], e[:, 1] - s[:, 1]
+        exr, eyr = ex[r], ey[r]
+        t = (exr * (ay[r] - s[:, 1]) - eyr * (ax[r] - s[:, 0])) / (exr * dy - eyr * dx)
+        out[r, start[r, c]] = np.column_stack((s[:, 0] + t * dx, s[:, 1] + t * dy))
+        r, c = np.nonzero(keep)
+        out[r, start[r, c] + cross[r, c]] = subject[r, c]
+        subject = out
+    return subject, count
 
-        def inside(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= 0.0
 
-        def crossing(p, q):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            t = (ex * (a[1] - p[1]) - ey * (a[0] - p[0])) / denom
-            return (p[0] + t * dx, p[1] + t * dy)
+def quad_iou(a: QuadBox | np.ndarray, b: QuadBox | np.ndarray) -> float | np.ndarray:
+    """Area intersection-over-union of convex quads.
 
-        result = []
-        s = output[-1]
-        for e in output:
-            if inside(e):
-                if not inside(s):
-                    result.append(crossing(s, e))
-                result.append(e)
-            elif inside(s):
-                result.append(crossing(s, e))
-            s = e
-        output = result
-    return np.array(output) if output else np.empty((0, 2))
-
-
-def quad_iou(a: QuadBox, b: QuadBox) -> float:
-    """Area intersection-over-union of two convex quads."""
-    area_a = a.area
-    area_b = b.area
-    if area_a < 1e-12 or area_b < 1e-12:
-        return 0.0
-    inter_poly = clip_convex(a.corners, b.corners)
-    if len(inter_poly) < 3:
-        return 0.0
-    inter = _shoelace_area(inter_poly)
+    a and b are two QuadBoxes, or two corner arrays of one quad (4, 2) or
+    of K quads (K, 4, 2), in positive-shoelace order (image coordinates,
+    y down).  Returns a float for one pair, else a (K,) array.  The
+    intersection clips a by b, all pairs at once (Sutherland & Hodgman,
+    CACM 1974).
+    """
+    ca = np.asarray(a.corners if isinstance(a, QuadBox) else a, dtype=float)
+    cb = np.asarray(b.corners if isinstance(b, QuadBox) else b, dtype=float)
+    if ca.ndim == 2:
+        return float(quad_iou(ca[None], cb[None])[0])
+    areas = _polygon_areas(np.concatenate((ca, cb)), np.full(2 * len(ca), 4))
+    area_a, area_b = areas[: len(ca)], areas[len(ca) :]
+    ok = (area_a >= 1e-12) & (area_b >= 1e-12)
+    poly, count = _clip_by_quads(np.where(ok[:, None, None], ca, 0.0), np.where(ok, 4, 0), cb)
+    count[count < 3] = 0
+    inter = _polygon_areas(poly, count)
     union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
+    hit = (count > 0) & (union > 0.0)
+    iou = np.zeros(len(ca))
+    iou[hit] = np.minimum(np.maximum(inter[hit] / union[hit], 0.0), 1.0)
+    return iou
 
 
 def _hartley_transform(pts: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .geom import (
     QuadBox,
     _at_infinity,
     dlt_homography_h,
+    project_quads,
     quad_iou,
 )
 from .objmatch import (
@@ -30,7 +31,6 @@ from .objmatch import (
     MatchParams,
     ObjectGroup,
     greedy_match,
-    _project_quad,
 )
 from .boxes import adjust_box, vote_box_vps
 from .rectify import (
@@ -119,11 +119,11 @@ def refine_homography(
     if corner_rms(refined) > corner_rms(g.H) + 1e-9:
         g.refined = False
         return g.H
-    for i, j in g.pairs:
-        pq = _project_quad(refined, boxes1[i])
-        if pq is None or quad_iou(pq, boxes2[j]) < params.eps_iou:
-            g.refined = False
-            return g.H
+    valid, proj = project_quads(refined, np.array([boxes1[i].corners for i, _ in g.pairs]))
+    corners2 = np.array([boxes2[j].corners for _, j in g.pairs])
+    if not valid.all() or np.any(quad_iou(proj, corners2) < params.eps_iou):
+        g.refined = False
+        return g.H
 
     g.H = refined
     g.refined = True

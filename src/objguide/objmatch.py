@@ -61,6 +61,8 @@ class MatchParams:
             raise ValueError("eps_iou must be in (0, 1]")
         if self.gem_p < 1.0:
             raise ValueError("gem_p must be >= 1")
+        if self.r_search < 0.0:
+            raise ValueError("r_search must be >= 0")
         if not (0.0 < self.ratio <= 1.0):
             raise ValueError("ratio must be in (0, 1]")
 
@@ -138,31 +140,6 @@ def hypothesis(q1: QuadBox, q2: QuadBox) -> Homography:
     return dlt_homography(q1.corners, q2.corners)
 
 
-def _project_quad(h: Homography, q: QuadBox) -> QuadBox | None:
-    rows, quads = project_quads(h, q.corners[None])
-    return QuadBox(quads[0], q.score) if len(rows) else None
-
-
-@dataclass(frozen=True)
-class _BoxTable:
-    """A quad list with its corners (N, 4, 2) and bounding boxes stacked."""
-
-    quads: list[QuadBox]
-    corners: np.ndarray
-    lo: np.ndarray  # (N, 2) bounding-box minimum
-    hi: np.ndarray  # (N, 2) bounding-box maximum
-
-    @classmethod
-    def of(cls, quads: list[QuadBox]) -> "_BoxTable":
-        corners = np.array([q.corners for q in quads]).reshape(-1, 4, 2)
-        return cls(list(quads), corners, corners.min(axis=1), corners.max(axis=1))
-
-    def take(self, idx: list[int]) -> "_BoxTable":
-        return _BoxTable(
-            [self.quads[i] for i in idx], self.corners[idx], self.lo[idx], self.hi[idx]
-        )
-
-
 def _greedy_pairs(iou: np.ndarray, eps_iou: float) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     iou = iou.copy()
@@ -178,32 +155,47 @@ def _greedy_pairs(iou: np.ndarray, eps_iou: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def _support_score(
-    h: Homography, t1: _BoxTable, t2: _BoxTable, eps_iou: float, floor: int = 0
-) -> tuple[list[tuple[int, int]], float] | None:
-    """Greedy one-to-one support of h and its summed IoU, or None when the
-    support is bounded below floor.
+def _round_cells(
+    ms: np.ndarray, corners1: np.ndarray, corners2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a grouping round can score without IoU.
 
-    Only projected quads whose bounding box overlaps an image-2 box can reach
-    IoU >= eps_iou > 0, and pairing is one-to-one, so the support is at most
-    the smaller of the number of such quads and the number of image-2 boxes
-    they overlap.  The bound costs no IoU, and IoU is computed only on the
-    overlapping cells.  Appearance is deliberately ignored here; geometry
-    alone decides.
+    Projects the image-1 quads (N1, 4, 2) under each hypothesis matrix
+    (K, 3, 3) and finds the image-2 quads (N2, 4, 2) whose bounding boxes
+    each projection overlaps.  Returns the projections (K, N1, 4, 2), the
+    overlap cells (K, N1, N2), none set for a projection that is not finite
+    and strictly convex, and each hypothesis's support bound (K,).  Only a
+    projected quad whose bounding box overlaps an image-2 box can reach
+    IoU >= eps_iou > 0, and pairing is one-to-one, so the support is at
+    most the smaller of the number of such quads and the number of image-2
+    boxes they overlap.
     """
-    rows, proj = project_quads(h, t1.corners)
-    cells = bbox_overlaps(proj.min(axis=1), proj.max(axis=1), t2.lo, t2.hi)
+    valid, proj = project_quads(ms, corners1)
+    cells = bbox_overlaps(
+        proj.min(axis=2), proj.max(axis=2), corners2.min(axis=1), corners2.max(axis=1)
+    )
+    cells &= valid[..., None]
+    bound = np.minimum(cells.any(axis=2).sum(axis=1), cells.any(axis=1).sum(axis=1))
+    return proj, cells, bound
+
+
+def _support(
+    proj: np.ndarray, cells: np.ndarray, corners2: np.ndarray, eps_iou: float
+) -> tuple[list[tuple[int, int]], float]:
+    """Greedy one-to-one support of one hypothesis and its summed IoU.
+
+    proj (N1, 4, 2) and cells (N1, N2) are the hypothesis's slices of
+    _round_cells.  IoU is computed on the overlap cells only, in one
+    stacked call.  Appearance is deliberately ignored here; geometry alone
+    decides.
+    """
     hit1 = np.flatnonzero(cells.any(axis=1))
     hit2 = np.flatnonzero(cells.any(axis=0))
-    if min(len(hit1), len(hit2)) < floor:
-        return None
+    a, b = np.nonzero(cells[np.ix_(hit1, hit2)])
     iou = np.zeros((len(hit1), len(hit2)))
-    for a, r in enumerate(hit1):
-        pq = QuadBox(proj[r])
-        for b in np.flatnonzero(cells[r, hit2]):
-            iou[a, b] = quad_iou(pq, t2.quads[hit2[b]])
+    iou[a, b] = quad_iou(proj[hit1[a]], corners2[hit2[b]])
     local = _greedy_pairs(iou, eps_iou)
-    pairs = [(int(rows[hit1[a]]), int(hit2[b])) for a, b in local]
+    pairs = [(int(hit1[a]), int(hit2[b])) for a, b in local]
     return pairs, float(sum(iou[a, b] for a, b in local))
 
 
@@ -227,36 +219,49 @@ def greedy_match(
     pos2, fdesc2 = _feature_table(feats2, dim)
     descs1 = np.array([box_descriptor(q, pos1, fdesc1, params.gem_p) for q in boxes1])
     descs2 = np.array([box_descriptor(q, pos2, fdesc2, params.gem_p) for q in boxes2])
-    table1, table2 = _BoxTable.of(boxes1), _BoxTable.of(boxes2)
+    corners1 = np.array([q.corners for q in boxes1]).reshape(-1, 4, 2)
+    corners2 = np.array([q.corners for q in boxes2]).reshape(-1, 4, 2)
 
     remaining1 = list(range(len(boxes1)))
     remaining2 = list(range(len(boxes2)))
     groups: list[ObjectGroup] = []
+    # A hypothesis depends only on its two quads: each box pair's DLT, or
+    # its failure (None), is computed once for all rounds.
+    cache: dict[tuple[int, int], Homography | None] = {}
 
     while remaining1 and remaining2:
-        sub1 = table1.take(remaining1)
-        sub2 = table2.take(remaining2)
         sub_descs2 = descs2[remaining2]
-        best = None  # ((count, sum_iou, pairs), pairs, H)
-        for li, i in enumerate(remaining1):
+        hyps = []  # in visiting order
+        for i in remaining1:
             for lj in candidates(i, descs1, sub_descs2, params.k_candidates):
-                try:
-                    h = hypothesis(sub1.quads[li], sub2.quads[lj])
-                except (EstimationError, DegenerateInputError):
-                    continue
-                # A hypothesis that can only tie the best count is still
-                # scored: the summed-IoU and pair-list tie-breaks need it.
-                floor = max(2, best[0][0]) if best else 2
-                scored = _support_score(h, sub1, sub2, params.eps_iou, floor)
-                if scored is None:
-                    continue
-                pairs, sum_iou = scored
-                if len(pairs) < 2:
-                    continue
-                global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]
-                key = (len(pairs), sum_iou, [(-a, -b) for a, b in global_pairs])
-                if best is None or key > best[0]:
-                    best = (key, global_pairs, h)
+                j = remaining2[lj]
+                if (i, j) not in cache:
+                    try:
+                        cache[i, j] = hypothesis(boxes1[i], boxes2[j])
+                    except (EstimationError, DegenerateInputError):
+                        cache[i, j] = None
+                if cache[i, j] is not None:
+                    hyps.append(cache[i, j])
+        if not hyps:
+            break
+        sub2 = corners2[remaining2]
+        proj, cells, bound = _round_cells(
+            np.array([h.m for h in hyps]), corners1[remaining1], sub2
+        )
+        best = None  # ((count, sum_iou, pairs), pairs, H)
+        for k, h in enumerate(hyps):
+            # A hypothesis that can only tie the best count is still
+            # scored: the summed-IoU and pair-list tie-breaks need it.
+            floor = max(2, best[0][0]) if best else 2
+            if bound[k] < floor:
+                continue
+            pairs, sum_iou = _support(proj[k], cells[k], sub2, params.eps_iou)
+            if len(pairs) < 2:
+                continue
+            global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]
+            key = (len(pairs), sum_iou, [(-a, -b) for a, b in global_pairs])
+            if best is None or key > best[0]:
+                best = (key, global_pairs, h)
         if best is None:
             break
         _, global_pairs, h = best

@@ -329,9 +329,15 @@ def merge_detections(
     order = sorted(range(len(pool)), key=lambda i: (-pool[i].score, i))
     corners = np.array([q.corners for q in pool]).reshape(-1, 4, 2)
     lo, hi = corners.min(axis=1), corners.max(axis=1)
-    near = bbox_overlaps(lo, hi, lo, hi)
+    # IoU of each candidate with every earlier one whose bounding box it
+    # overlaps, in one stacked call; other pairs have IoU 0.
+    rank = np.empty(len(pool), dtype=int)
+    rank[order] = np.arange(len(pool))
+    ii, kk = np.nonzero(bbox_overlaps(lo, hi, lo, hi) & (rank[None, :] < rank[:, None]))
+    iou = np.zeros((len(pool), len(pool)))
+    iou[ii, kk] = quad_iou(corners[ii], corners[kk])
     kept: list[int] = []
     for i in order:
-        if all(quad_iou(pool[i], pool[k]) < DEDUP_IOU for k in kept if near[i, k]):
+        if np.all(iou[i, kept] < DEDUP_IOU):
             kept.append(i)
     return [pool[i] for i in kept]

@@ -185,6 +185,134 @@ class TestQuadIou:
             assert quad_iou(a, b) == pytest.approx(raster_iou(a, b, 500), abs=3 / 500)
 
 
+def _reference_clip(subject, clipper):
+    """Scalar Sutherland-Hodgman clip of a convex polygon by a convex polygon,
+    one vertex at a time (the kernel quad_iou replaced)."""
+    output = [tuple(p) for p in np.asarray(subject, dtype=float)]
+    clipper = np.asarray(clipper, dtype=float)
+    for k in range(len(clipper)):
+        if not output:
+            return np.empty((0, 2))
+        a = clipper[k]
+        b = clipper[(k + 1) % len(clipper)]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+
+        def inside(p):
+            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= 0.0
+
+        def crossing(p, q):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            denom = ex * dy - ey * dx
+            t = (ex * (a[1] - p[1]) - ey * (a[0] - p[0])) / denom
+            return (p[0] + t * dx, p[1] + t * dy)
+
+        result = []
+        s = output[-1]
+        for e in output:
+            if inside(e):
+                if not inside(s):
+                    result.append(crossing(s, e))
+                result.append(e)
+            elif inside(s):
+                result.append(crossing(s, e))
+            s = e
+        output = result
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def _reference_shoelace_area(poly):
+    x = poly[:, 0]
+    y = poly[:, 1]
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
+
+
+def _reference_quad_iou(a, b):
+    """Scalar IoU of two corner arrays (4, 2); returns it and the number of
+    vertices of the intersection polygon."""
+    area_a = _reference_shoelace_area(a)
+    area_b = _reference_shoelace_area(b)
+    if area_a < 1e-12 or area_b < 1e-12:
+        return 0.0, 0
+    inter_poly = _reference_clip(a, b)
+    if len(inter_poly) < 3:
+        return 0.0, len(inter_poly)
+    inter = _reference_shoelace_area(inter_poly)
+    union = area_a + area_b - inter
+    if union <= 0.0:
+        return 0.0, len(inter_poly)
+    return float(min(max(inter / union, 0.0), 1.0)), len(inter_poly)
+
+
+def _quad_pairs(rng, n):
+    """n pairs of strictly convex quads (n, 4, 2) of every relative position:
+    overlapping, rotated about a shared centroid (up to octagonal
+    intersections), contained either way, identical, disjoint, and axis-
+    aligned boxes touching along an edge or at a corner."""
+    first, second = [], []
+    kind = 0
+    while len(first) < n:
+        a = random_convex_quad(rng, 0.0, 200.0).corners
+        c = a.mean(axis=0)
+        kind = (kind + 1) % 7
+        if kind == 0:
+            b = random_convex_quad(rng, 0.0, 200.0).corners
+        elif kind == 1:
+            t = rng.uniform(0.1, 1.5)
+            rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            b = c + rng.uniform(0.8, 1.2) * (a - c) @ rot.T + rng.uniform(-5, 5, 2)
+        elif kind == 2:
+            b = c + rng.uniform(0.2, 0.95) * (a - c)
+        elif kind == 3:
+            a, b = c + rng.uniform(0.2, 0.95) * (a - c), a
+        elif kind == 4:
+            b = a.copy()
+        elif kind == 5:
+            b = a + 400.0 + rng.uniform(0, 100, 2)
+        else:
+            x0, x1 = sorted(rng.integers(0, 100, 2))
+            y0, y1 = sorted(rng.integers(0, 100, 2))
+            if x0 == x1 or y0 == y1:
+                continue
+            w, h = rng.integers(1, 50, 2)
+            dy = rng.integers(-h, y1 - y0 + 1)  # the ends touch at a corner
+            a = DetBox(x0, y0, x1, y1).corners
+            b = DetBox(x1, y0 + dy, x1 + w, y0 + dy + h).corners
+        try:
+            b = QuadBox(canonical_quad_order(b)).corners
+        except DegenerateInputError:
+            continue
+        first.append(a)
+        second.append(b)
+    return np.array(first, dtype=float), np.array(second, dtype=float)
+
+
+class TestQuadIouReference:
+    """The stacked kernel against the scalar clip-and-shoelace reference:
+    equal floats, not approximately equal ones."""
+
+    def test_bit_identical_to_scalar_reference(self):
+        a, b = _quad_pairs(np.random.default_rng(13), 6000)
+        ref = [_reference_quad_iou(p, q) for p, q in zip(a, b)]
+        want = np.array([v for v, _ in ref])
+        counts = np.bincount([n for _, n in ref], minlength=9)
+        assert all(counts[n] >= 10 for n in range(3, 9)), counts
+        assert (want == 0.0).sum() >= 500 and (want == 1.0).sum() >= 500
+        got = quad_iou(a, b)
+        assert got.shape == (len(a),)
+        assert np.array_equal(got, want)
+
+    def test_stacked_equals_one_row_calls(self):
+        a, b = _quad_pairs(np.random.default_rng(14), 700)
+        stacked = quad_iou(a, b)
+        assert [quad_iou(p, q) for p, q in zip(a, b)] == list(stacked)
+        assert [quad_iou(QuadBox(p), QuadBox(q)) for p, q in zip(a[:50], b[:50])] == list(
+            stacked[:50]
+        )
+        assert quad_iou(a[:0], b[:0]).shape == (0,)
+
+
 class TestBoxes:
     def test_detbox_validation(self):
         with pytest.raises(DegenerateInputError):
@@ -240,11 +368,18 @@ class TestBoxes:
                 want.append((k, QuadBox(canonical_quad_order(h.map_points(q.corners))).corners))
             except DegenerateInputError:
                 pass
+        corners = np.array([q.corners for q in quads])
         with np.errstate(all="raise"):
-            rows, proj = project_quads(h, np.array([q.corners for q in quads]))
+            valid, proj = project_quads(h, corners)
+            stacked_valid, stacked = project_quads(np.stack([np.eye(3), h.m]), corners)
+        rows = np.flatnonzero(valid)
         assert 1 not in rows
         assert list(rows) == [k for k, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), b in zip(want, proj))
+        assert all(np.array_equal(a, b) for (_, a), b in zip(want, proj[rows]))
+        # A stack of matrices gives each matrix's own projection.
+        assert stacked_valid[0].all() and np.array_equal(stacked[0], corners)
+        assert np.array_equal(stacked_valid[1], valid)
+        assert np.array_equal(stacked[1][rows], proj[rows])
 
 
 class TestSegments:

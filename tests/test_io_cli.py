@@ -307,6 +307,7 @@ class TestCli:
         ("--ratio", "0"),
         ("--angle-thresh", "0"),
         ("--k-candidates", "-1"),
+        ("--r-search", "-1"),
     ])
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, flag, value):
         scene = _write_scene(tmp_path)
@@ -328,6 +329,19 @@ class TestCli:
             assert exc.value.code == EXIT_PARSE
             assert "--pairs-file" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--dir1", "--dir2", "--out"])
+    def test_pairs_file_with_single_pair_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # Rejected before any work: neither the batch's nor the flag's output appears.
+        scene = _write_scene(tmp_path)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"{scene}/a {scene}/b {tmp_path / 'batch_out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--pairs-file", str(pairs), flag, str(tmp_path / "flag_out")])
+        assert exc.value.code == EXIT_PARSE
+        assert "not both" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "batch_out")
+        assert not os.path.exists(tmp_path / "flag_out")
 
     @pytest.mark.parametrize("command", ["vps", "rectify"])
     @pytest.mark.parametrize("flag,value", [("--iou-thresh", "0"), ("--mode", "O")])

@@ -6,8 +6,8 @@ from objguide.objmatch import (
     Feature,
     MatchParams,
     NoDescriptorError,
-    _BoxTable,
-    _support_score,
+    _round_cells,
+    _support,
     box_descriptor,
     candidates,
     gem_pool,
@@ -71,6 +71,14 @@ class TestMatchParams:
     def test_k_candidates_one_accepted(self):
         assert MatchParams(k_candidates=1).k_candidates == 1
 
+    @pytest.mark.parametrize("r", [-1.0, -1e-9])
+    def test_negative_search_radius_rejected(self, r):
+        with pytest.raises(ValueError):
+            MatchParams(r_search=r)
+
+    def test_zero_search_radius_accepted(self):
+        assert MatchParams(r_search=0.0).r_search == 0.0
+
 
 class TestBoxDescriptor:
     def test_pools_only_inside_features(self):
@@ -108,7 +116,10 @@ class TestCandidates:
 
 def support(h, b1, b2, eps):
     """Greedy one-to-one IoU support of h, as greedy_match scores it."""
-    return _support_score(h, _BoxTable.of(b1), _BoxTable.of(b2), eps)[0]
+    c1 = np.array([q.corners for q in b1])
+    c2 = np.array([q.corners for q in b2])
+    proj, cells, _ = _round_cells(h.m[None], c1, c2)
+    return _support(proj[0], cells[0], c2, eps)[0]
 
 
 class TestSupport:
