@@ -100,6 +100,8 @@ class LineSegment:
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(2))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(2))
+        if not (np.isfinite(self.p).all() and np.isfinite(self.q).all()):
+            raise DegenerateInputError("non-finite segment endpoint")
         if self.length <= 0.0:
             raise DegenerateInputError("zero-length segment")
 
@@ -188,6 +190,8 @@ class DetBox:
     score: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([self.xmin, self.ymin, self.xmax, self.ymax]).all():
+            raise DegenerateInputError("non-finite detection box coordinate")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise DegenerateInputError("empty detection box")
         if not (0.0 <= self.score <= 1.0):

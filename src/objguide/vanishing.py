@@ -4,6 +4,14 @@ Each RANSAC round samples two segments, intersects their supporting lines,
 and scores the candidate by the number of segments whose direction agrees
 with it within an angular threshold.  The winning candidate is refined on
 its inliers, the inliers are removed, and the next round starts.
+
+Scoring computes no angles.  A segment is an inlier when |cross| <=
+tan(thresh) |dot| of its direction and the direction toward the candidate;
+only the pairs within a 1e-9 relative band of that boundary (or near the
+zero-length case) are settled by the exact angle, so the counts equal those
+of the full residual-angle matrix.  Swapping the two sampled segments only
+negates the candidate, so each unordered pair is scored once, at its first
+draw.
 """
 
 from __future__ import annotations
@@ -83,6 +91,77 @@ def _residual_matrix(vps: np.ndarray, dirs: np.ndarray, mids: np.ndarray) -> np.
     return np.where(den > 1e-12, np.degrees(np.arctan2(cross, dot)), 0.0)
 
 
+_BAND = 1e-9  # relative slack of the tangent pre-test in _inlier_counts
+_MIN_CROSS = 2e-12  # |cross| above this implies den > 1e-12 in _residual_matrix
+_BLOCK = 1 << 16  # (candidate, segment) pairs per block of _inlier_counts
+
+
+def _inlier_counts(
+    cands: np.ndarray, dirs: np.ndarray, mids: np.ndarray, thresh: float
+) -> np.ndarray:
+    """(_residual_matrix(cands, dirs, mids) <= thresh).sum(axis=1), without
+    the angles.
+
+    cross and dot are the same products and sums as in _residual_matrix.
+    A pair with |cross| < tan(thresh) |dot| by a relative margin _BAND is an
+    inlier, one above it by that margin (and with |cross| > _MIN_CROSS, so
+    not on the zero-length branch) an outlier.  The rows holding any other
+    pair are counted from _residual_matrix itself.  Rows are scored in
+    blocks of about _BLOCK pairs, so that the temporaries stay in cache.
+    """
+    if thresh >= 89.0:  # the band spans _BAND sin cos radians: too thin near 90
+        return (_residual_matrix(cands, dirs, mids) <= thresh).sum(axis=1)
+    step = max(1, _BLOCK // max(1, len(dirs)))
+    if len(cands) > step:
+        return np.concatenate([
+            _inlier_counts(cands[i : i + step], dirs, mids, thresh)
+            for i in range(0, len(cands), step)
+        ])
+    inf = _at_infinity(cands)
+    safe_w = np.where(inf, 1.0, cands[:, 2])
+    tx = np.subtract.outer(cands[:, 0] / safe_w, mids[:, 0])
+    ty = np.subtract.outer(cands[:, 1] / safe_w, mids[:, 1])
+    tx[inf] = cands[inf, 0:1]
+    ty[inf] = cands[inf, 1:2]
+    cross = tx * dirs[:, 1]
+    cross -= ty * dirs[:, 0]
+    np.abs(cross, out=cross)
+    tx *= dirs[:, 0]
+    ty *= dirs[:, 1]
+    tx += ty
+    dot = np.abs(tx, out=tx)
+    tan_t = np.tan(np.radians(thresh))
+    inside = cross < np.multiply(dot, tan_t * (1.0 - _BAND), out=ty)
+    outside = (cross > np.multiply(dot, tan_t * (1.0 + _BAND), out=ty)) & (cross > _MIN_CROSS)
+    counts = inside.sum(axis=1)
+    rows = np.flatnonzero(~(inside | outside).all(axis=1))
+    if len(rows):
+        counts[rows] = (_residual_matrix(cands[rows], dirs, mids) <= thresh).sum(axis=1)
+    return counts
+
+
+def _first_draws(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Indices, in draw order, of the valid draws whose key no earlier valid
+    draw has.  A stable argsort, not np.unique, which imports numpy.ma."""
+    idx = np.flatnonzero(valid)
+    order = idx[np.argsort(keys[idx], kind="stable")]
+    ks = keys[order]
+    head = np.ones(len(ks), dtype=bool)
+    head[1:] = ks[1:] != ks[:-1]
+    return np.sort(order[head])
+
+
+def _segment_lines(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unit-norm supporting lines (m, 3) of the segments with endpoints p, q."""
+    ph = np.column_stack([p, np.ones(len(p))])
+    qh = np.column_stack([q, np.ones(len(q))])
+    lines = np.cross(ph, qh)
+    norms = np.linalg.norm(lines, axis=1)
+    if np.any(norms < 1e-12 * np.linalg.norm(ph, axis=1) * np.linalg.norm(qh, axis=1)):
+        raise DegenerateInputError("coincident points define no unique line")
+    return lines / norms[:, None]
+
+
 def residual_angle(s: LineSegment, v: np.ndarray) -> float:
     """Residual angle in degrees of one segment against one vanishing point
     (a one-row view of _residual_matrix)."""
@@ -119,8 +198,7 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
     if n < 2:
         return []
     p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
-    lines = np.array([s.line for s in segments])
-    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
+    lines = _segment_lines(p_arr, q_arr)
 
     rng = np.random.default_rng(params.rng_seed)
     remaining = np.arange(n)
@@ -135,15 +213,20 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
         valid = (i1 != i2) & (norms > 1e-12)
         if not np.any(valid):
             break
-        cands = cands[valid] / norms[valid][:, None]
-        res = _residual_matrix(cands, dirs[remaining], mids[remaining])
-        counts = (res <= params.angle_thresh).sum(axis=1)
+        # (i1, i2) and (i2, i1) give exactly negated candidates, so equal
+        # counts: scoring only each pair's first draw keeps argmax on the
+        # earliest best sample.
+        first = _first_draws(np.minimum(i1, i2) * n + np.maximum(i1, i2), valid)
+        cands = cands[first] / norms[first][:, None]
+        d_rem, m_rem = dirs[remaining], mids[remaining]
+        counts = _inlier_counts(cands, d_rem, m_rem, params.angle_thresh)
         best = int(np.argmax(counts))
         if counts[best] < MIN_INLIERS:
             break
-        cons = remaining[res[best] <= params.angle_thresh]
+        res_best = _residual_matrix(cands[best : best + 1], d_rem, m_rem)[0]
+        cons = remaining[res_best <= params.angle_thresh]
         point = _refine(p_arr[cons], q_arr[cons], lengths[cons])
-        res_ref = _residual_matrix(point[None, :], dirs[remaining], mids[remaining])[0]
+        res_ref = _residual_matrix(point[None, :], d_rem, m_rem)[0]
         inliers = remaining[res_ref <= params.angle_thresh]
         if len(inliers) < MIN_INLIERS:
             break

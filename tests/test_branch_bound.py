@@ -2,9 +2,11 @@
 
 The references here are brute force: every cell of every hypothesis's IoU
 matrix is computed with quad_iou on QuadBox(canonical_quad_order(
-h.map_points(...))), no hypothesis is skipped, and every kept detection is
-compared against every candidate.  The optimized code must give the same
-groups (pairs and homography bytes) and the same kept detections.
+h.map_points(...))), one stacked call per row (equal to one call per cell,
+see test_geom's test_stacked_equals_one_row_calls), no hypothesis is
+skipped, and every kept detection is compared against every candidate.
+The optimized code must give the same groups (pairs and homography bytes)
+and the same kept detections.
 """
 
 import numpy as np
@@ -53,6 +55,7 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
     dim = len(ref[0].desc) if ref else 0
     d1 = _reference_descriptors(boxes1, feats1, dim, params.gem_p)
     d2 = _reference_descriptors(boxes2, feats2, dim, params.gem_p)
+    corners2 = np.array([q.corners for q in boxes2]).reshape(-1, 4, 2)
     rem1, rem2 = list(range(len(boxes1))), list(range(len(boxes2)))
     groups = []
     while rem1 and rem2:
@@ -70,8 +73,9 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
                         pq = QuadBox(canonical_quad_order(h.map_points(boxes1[i2].corners)))
                     except DegenerateInputError:
                         continue
-                    for b, j2 in enumerate(rem2):
-                        iou[a, b] = quad_iou(pq, boxes2[j2])
+                    iou[a] = quad_iou(
+                        np.broadcast_to(pq.corners, (len(rem2), 4, 2)), corners2[rem2]
+                    )
                 local = _reference_pairs(iou, params.eps_iou)
                 if len(local) < 2:
                     continue

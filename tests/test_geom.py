@@ -319,6 +319,10 @@ class TestBoxes:
             DetBox(1, 0, 1, 5)
         with pytest.raises(DegenerateInputError):
             DetBox(0, 0, 1, 1, score=1.5)
+        with pytest.raises(DegenerateInputError):
+            DetBox(0, 0, np.inf, 1)
+        with pytest.raises(DegenerateInputError):
+            DetBox(-np.inf, 0, 1, 1)
 
     def test_quad_from_detbox(self):
         q = QuadBox.from_detbox(DetBox(0, 0, 2, 3, 0.7))
@@ -392,3 +396,10 @@ class TestSegments:
     def test_zero_length_rejected(self):
         with pytest.raises(DegenerateInputError):
             LineSegment((1, 1), (1, 1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateInputError):
+            LineSegment((0, 0), (bad, 5))
+        with pytest.raises(DegenerateInputError):
+            LineSegment((0, bad), (5, 5))

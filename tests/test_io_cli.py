@@ -184,6 +184,21 @@ class TestParseErrors:
         with pytest.raises(formats.ParseError, match="truncated group record"):
             formats.read_groups(str(path))
 
+    @pytest.mark.parametrize("name,line", [
+        ("segments.txt", "0 0 inf 5"),
+        ("segments.txt", "0 nan 5 5"),
+        ("boxes.txt", "0 0 inf 5 0.5"),
+        ("boxes.txt", "-inf 0 1 5 0.5"),
+    ])
+    def test_non_finite_value(self, tmp_path, name, line):
+        path = tmp_path / name
+        good = "0 0 10 5" if name == "segments.txt" else "0 0 10 5 0.5"
+        path.write_text(f"{good}\n{line}\n")
+        read = formats.read_segments if name == "segments.txt" else formats.read_boxes
+        with pytest.raises(formats.ParseError, match="non-finite") as exc:
+            read(str(path))
+        assert exc.value.line_no == 2
+
     def test_bad_refined_flag(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
@@ -364,6 +379,9 @@ class TestCli:
     @pytest.mark.parametrize("name,text", [
         ("dims.txt", "abc 960\n"),
         ("quads.txt", "0 0 1 0 1 1 0 1 0.5 rect:x\n"),
+        ("segments.txt", "0 0 inf 5\n"),
+        ("segments.txt", "0 0 nan 5\n"),
+        ("boxes.txt", "0 0 inf 5 0.5\n"),
     ])
     def test_malformed_image_file_exit_code(self, tmp_path, capsys, name, text):
         scene = _write_scene(tmp_path)

@@ -6,12 +6,20 @@ from objguide.geom import LineSegment, is_infinite
 from objguide.synth import generate, pencil_segments
 from objguide.vanishing import (
     HORIZONTAL,
+    MAX_ITERATIONS,
+    MAX_VPS,
+    MIN_INLIERS,
     VERTICAL,
+    VanishingPoint,
     VpParams,
+    _inlier_counts,
+    _refine,
+    _residual_matrix,
     classify,
     estimate_vps,
     image_vps,
     residual_angle,
+    segment_arrays,
 )
 
 
@@ -101,6 +109,126 @@ class TestEstimateVps:
         vps = estimate_vps(segs, VpParams(rng_seed=3))
         assert len(vps) == 1
         assert max(residual_angle(s, vps[0].point) for s in segs) < 1e-6
+
+
+def _ulp_steps(x, k):
+    """x moved by k ulps (k may be negative)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def _rotated(v, deg):
+    a = np.radians(deg)
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([c * v[..., 0] - s * v[..., 1], s * v[..., 0] + c * v[..., 1]], axis=-1)
+
+
+class TestInlierCounts:
+    """_inlier_counts equals counting the full residual-angle matrix."""
+
+    @staticmethod
+    def _assert_exact(cands, dirs, mids, thresh):
+        want = (_residual_matrix(cands, dirs, mids) <= thresh).sum(axis=1)
+        assert np.array_equal(_inlier_counts(cands, dirs, mids, thresh), want)
+
+    @pytest.mark.parametrize("thresh", [1.0, 2.0, 3.0])
+    def test_angles_within_ulps_of_thresh(self, thresh):
+        # One segment per call, so each count is one pair's verdict and
+        # errors in both directions cannot cancel in a sum.
+        rng = np.random.default_rng(int(thresh))
+        for _ in range(12):
+            mid = rng.uniform(0.0, 1000.0, (1, 2))
+            d = _rotated(np.array([[rng.uniform(5.0, 80.0), 0.0]]), rng.uniform(0.0, 180.0))
+            u = d[0] / np.linalg.norm(d[0])
+            cands = []
+            for k in range(-8, 9):
+                for sign in (-1.0, 1.0):
+                    toward = _rotated(u, sign * _ulp_steps(thresh, k))
+                    cands.append([*toward, 0.0])
+                    cands.append([*(mid[0] + rng.uniform(50.0, 5000.0) * toward), 1.0])
+            cands = np.array(cands)
+            cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+            want = (_residual_matrix(cands, d, mid) <= thresh).sum(axis=1)
+            assert 0 < want.sum() < len(cands)  # both sides of thresh are hit
+            assert np.array_equal(_inlier_counts(cands, d, mid, thresh), want)
+
+    def test_points_at_and_near_infinity(self):
+        rng = np.random.default_rng(3)
+        mids = rng.uniform(0.0, 1000.0, (60, 2))
+        dirs = _rotated(np.tile([30.0, 0.0], (60, 1)), rng.uniform(-4.0, 4.0, 60))
+        w_inf = 1e-9 * 1000.0  # INFINITY_EPS * hypot of (1000, 0)
+        cands = np.array([[1000.0, 0.0, 0.0], [1000.0, 0.0, 0.5 * w_inf],
+                          [1000.0, 0.0, 2.0 * w_inf], [1000.0, 0.0, -1e-3]])
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        for thresh in (1.0, 2.0, 3.0):
+            self._assert_exact(cands, dirs, mids, thresh)
+
+    def test_candidate_at_a_midpoint_and_zero_denominator(self):
+        mids = np.array([[100.0, 200.0], [0.0, 0.0], [50.0, 50.0], [400.0, 10.0]])
+        # The third direction is so short that den <= 1e-12 against every
+        # candidate below, so its angle counts as 0 although it is about 90.
+        dirs = np.array([[0.0, 40.0], [25.0, 25.0], [0.0, 1e-15], [30.0, 1.0]])
+        cands = np.array([[100.0, 200.0, 1.0], [0.0, 0.0, 1.0], [50.0, 50.0 + 1e-13, 1.0],
+                          [1.0, 0.0, 0.0], [400.0, 10.0, 1.0]])
+        for thresh in (1.0, 2.0, 3.0, 89.5, 90.0):
+            self._assert_exact(cands, dirs, mids, thresh)
+        # Against (1, 0, 0) only the short vertical direction is an inlier.
+        assert _inlier_counts(cands[3:4], dirs, mids, 1.0)[0] == 1
+
+
+def _reference_estimate_vps(segments, params):
+    """Sequential RANSAC with one full residual-angle matrix per round:
+    every draw scored, per-segment supporting lines."""
+    n = len(segments)
+    if n < 2:
+        return []
+    p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
+    lines = np.array([s.line for s in segments])
+    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
+    rng = np.random.default_rng(params.rng_seed)
+    remaining = np.arange(n)
+    found = []
+    while len(found) < MAX_VPS and len(remaining) >= MIN_INLIERS:
+        probs = lengths[remaining] / lengths[remaining].sum()
+        i1 = rng.choice(remaining, size=MAX_ITERATIONS, p=probs)
+        i2 = rng.choice(remaining, size=MAX_ITERATIONS, p=probs)
+        cands = np.cross(lines[i1], lines[i2])
+        norms = np.linalg.norm(cands, axis=1)
+        valid = (i1 != i2) & (norms > 1e-12)
+        if not np.any(valid):
+            break
+        cands = cands[valid] / norms[valid][:, None]
+        res = _residual_matrix(cands, dirs[remaining], mids[remaining])
+        counts = (res <= params.angle_thresh).sum(axis=1)
+        best = int(np.argmax(counts))
+        if counts[best] < MIN_INLIERS:
+            break
+        cons = remaining[res[best] <= params.angle_thresh]
+        point = _refine(p_arr[cons], q_arr[cons], lengths[cons])
+        res_ref = _residual_matrix(point[None, :], dirs[remaining], mids[remaining])[0]
+        inliers = remaining[res_ref <= params.angle_thresh]
+        if len(inliers) < MIN_INLIERS:
+            break
+        found.append(VanishingPoint(point=point, inlier_ids=tuple(int(i) for i in inliers)))
+        remaining = remaining[res_ref > params.angle_thresh]
+    found.sort(key=lambda v: -v.support)
+    return found
+
+
+@pytest.mark.parametrize("preset", ["two-facade", "grid"])
+@pytest.mark.parametrize("scene_seed", [0, 1])
+def test_estimate_vps_matches_full_matrix_reference(preset, scene_seed):
+    scene = generate(_preset_scene(preset, scene_seed))
+    for img in (scene.img_a, scene.img_b):
+        for rng_seed in range(3):
+            for thresh in (1.0, 2.0, 3.0):
+                params = VpParams(angle_thresh=thresh, rng_seed=rng_seed)
+                got = estimate_vps(img.segments, params)
+                want = _reference_estimate_vps(img.segments, params)
+                assert [(v.point.tobytes(), v.inlier_ids) for v in got] == [
+                    (v.point.tobytes(), v.inlier_ids) for v in want
+                ]
 
 
 class TestClassify:
