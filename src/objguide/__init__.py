@@ -6,8 +6,6 @@ from .geom import (
     LineSegment,
     QuadBox,
     dlt_homography,
-    intersect,
-    line_through,
     quad_iou,
 )
 from .guided import ImageInputs, Match, MatchSet, match_pair
@@ -34,8 +32,6 @@ __all__ = [
     "dlt_homography",
     "estimate_vps",
     "greedy_match",
-    "intersect",
-    "line_through",
     "match_pair",
     "quad_iou",
 ]

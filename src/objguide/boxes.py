@@ -3,7 +3,8 @@
 An axis-aligned box is turned into a perspective quad by joining the
 midpoints of its horizontal edges with the horizontal vanishing point and
 the midpoints of its vertical edges with the vertical one; the four
-pairwise intersections of those lines are the adjusted corners.
+pairwise intersections of those lines are the adjusted corners.  All boxes
+of an image are adjusted in one array pass.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from .geom import (
     DegenerateInputError,
     DetBox,
     QuadBox,
-    hom_point,
-    intersect,
-    is_infinite,
-    dehomogenize,
-    line_through,
+    _at_infinity,
+    _edge_crosses,
+    join,
     same_up_to_scale,
 )
 from .vanishing import (
@@ -76,36 +75,39 @@ def vote_box_vps(
     return picks
 
 
-def adjust_box(box: DetBox, vp_h: np.ndarray, vp_v: np.ndarray) -> QuadBox:
-    """Adjust an axis-aligned box into a vanishing-point-aligned quad."""
-    vp_h = np.asarray(vp_h, dtype=float)
-    vp_v = np.asarray(vp_v, dtype=float)
-    if same_up_to_scale(vp_h, vp_v):
-        raise DegenerateInputError("identical horizontal and vertical vanishing points")
+def adjust_box(
+    box: DetBox | list[DetBox], vp_h: np.ndarray, vp_v: np.ndarray
+) -> QuadBox | list[QuadBox | None]:
+    """Adjust axis-aligned boxes into vanishing-point-aligned quads.
 
-    top_mid = hom_point((box.xmin + box.xmax) / 2.0, box.ymin)
-    bot_mid = hom_point((box.xmin + box.xmax) / 2.0, box.ymax)
-    left_mid = hom_point(box.xmin, (box.ymin + box.ymax) / 2.0)
-    right_mid = hom_point(box.xmax, (box.ymin + box.ymax) / 2.0)
-
-    try:
-        top = line_through(top_mid, vp_h)
-        bottom = line_through(bot_mid, vp_h)
-        left = line_through(left_mid, vp_v)
-        right = line_through(right_mid, vp_v)
-        corners_h = [
-            intersect(top, left),
-            intersect(top, right),
-            intersect(bottom, right),
-            intersect(bottom, left),
-        ]
-    except DegenerateInputError as exc:
-        raise AdjustmentError(str(exc)) from exc
-
-    if any(is_infinite(c) for c in corners_h):
-        raise AdjustmentError("adjusted corner at infinity")
-    corners = np.array([dehomogenize(c) for c in corners_h])
-    try:
-        return QuadBox(corners, box.score)
-    except DegenerateInputError as exc:
-        raise AdjustmentError(str(exc)) from exc
+    Given N boxes and (N, 3) stacks of horizontal and vertical vanishing
+    points, returns one quad per box, or None where the adjustment is
+    degenerate: coincident vanishing points, a vanishing point on an edge
+    midpoint, identical construction lines, a corner at infinity, or a quad
+    that is not strictly convex.  Given one box and (3,) vanishing points,
+    returns its quad or raises AdjustmentError.
+    """
+    if isinstance(box, DetBox):
+        [quad] = adjust_box([box], np.reshape(vp_h, (1, 3)), np.reshape(vp_v, (1, 3)))
+        if quad is None:
+            raise AdjustmentError("degenerate box adjustment")
+        return quad
+    vp_h = np.asarray(vp_h, dtype=float).reshape(-1, 3)
+    vp_v = np.asarray(vp_v, dtype=float).reshape(-1, 3)
+    xmin, ymin, xmax, ymax = np.array(
+        [(b.xmin, b.ymin, b.xmax, b.ymax) for b in box], dtype=float
+    ).reshape(-1, 4).T
+    xc, yc = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+    # Edge midpoints (N, 4, 3): top, bottom, left, right.
+    mids = np.ones((len(xc), 4, 3))
+    mids[..., 0] = np.column_stack([xc, xc, xmin, xmax])
+    mids[..., 1] = np.column_stack([ymin, ymax, yc, yc])
+    lines, bad_line = join(mids, np.stack([vp_h, vp_h, vp_v, vp_v], axis=1))
+    # Corners TL, TR, BR, BL meet top/left, top/right, bottom/right, bottom/left.
+    corners_h, bad_corner = join(lines[:, [0, 0, 1, 1]], lines[:, [2, 3, 3, 2]])
+    failed = same_up_to_scale(vp_h, vp_v) | np.any(
+        bad_line | bad_corner | _at_infinity(corners_h), axis=1
+    )
+    corners = corners_h[..., :2] / np.where(failed[:, None, None], 1.0, corners_h[..., 2:])
+    failed |= ~np.all(_edge_crosses(corners) > 0, axis=1)
+    return [None if f else QuadBox(c, b.score) for b, c, f in zip(box, corners, failed)]

@@ -99,6 +99,8 @@ def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
 
 def cmd_match(args) -> int:
     params = _params_from_args(args)
+    if args.jobs < 1:
+        raise InvalidParameterError("invalid parameter: jobs must be >= 1")
     if args.pairs_file:
         jobs = []
         for no, line in formats._lines(args.pairs_file):
@@ -106,14 +108,9 @@ def cmd_match(args) -> int:
             if len(parts) != 3:
                 raise formats.ParseError(args.pairs_file, no, "expected 'dir1 dir2 outdir'")
             jobs.append(parts)
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(_run_one_pair, a, b, o, args, params) for a, b, o in jobs
-                ]
-                reports = [f.result() for f in futures]
-        else:
-            reports = [_run_one_pair(a, b, o, args, params) for a, b, o in jobs]
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(_run_one_pair, a, b, o, args, params) for a, b, o in jobs]
+            reports = [f.result() for f in futures]
         for (a, b, _o), rep in zip(jobs, reports):
             print(f"{a} {b}: groups={rep['groups']} guided={rep['guided_matches']} "
                   f"additional={rep['additional_matches']}")

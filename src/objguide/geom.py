@@ -29,10 +29,6 @@ class EstimationError(GeometryError):
     """A fit could not be computed (rank deficiency, near-singular system)."""
 
 
-def hom_point(x: float, y: float) -> np.ndarray:
-    return np.array([float(x), float(y), 1.0])
-
-
 def normalize_h(v: np.ndarray) -> np.ndarray:
     """Scale a homogeneous 3-vector to unit norm with canonical sign.
 
@@ -59,35 +55,27 @@ def is_infinite(p: np.ndarray) -> bool:
     return bool(_at_infinity(np.asarray(p, dtype=float)))
 
 
-def dehomogenize(p: np.ndarray) -> np.ndarray:
-    if is_infinite(p):
-        raise DegenerateInputError("cannot dehomogenize a point at infinity")
-    return np.array([p[0] / p[2], p[1] / p[2]])
-
-
-def same_up_to_scale(a: np.ndarray, b: np.ndarray) -> bool:
+def same_up_to_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the rows of two stacks of 3-vectors (..., 3) that are equal up to scale."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cross = float(np.linalg.norm(np.cross(a, b)))
-    return cross <= SCALE_TOL * np.linalg.norm(a) * np.linalg.norm(b)
+    cross = np.linalg.norm(np.cross(a, b), axis=-1)
+    return cross <= SCALE_TOL * np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
 
 
-def line_through(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Line incident to both points (cross product construction)."""
-    l = np.cross(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
-    n = np.linalg.norm(l)
-    if n < 1e-12 * np.linalg.norm(p) * np.linalg.norm(q):
-        raise DegenerateInputError("coincident points define no unique line")
-    return l
+def join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross products a x b of stacks of homogeneous 3-vectors (..., 3).
 
-
-def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection point of two lines; at infinity when they are parallel."""
-    p = np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    n = np.linalg.norm(p)
-    if n < 1e-12 * np.linalg.norm(a) * np.linalg.norm(b):
-        raise DegenerateInputError("identical lines have no unique intersection")
-    return p
+    The join of two points is the line through both; the join of two lines
+    is their intersection point (at infinity when they are parallel).
+    Returns the products and the mask (...) of the rows with no unique
+    answer, coincident points or identical lines: |a x b| < 1e-12 |a| |b|.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.cross(a, b)
+    norm = np.linalg.norm
+    return c, norm(c, axis=-1) < 1e-12 * norm(a, axis=-1) * norm(b, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -116,11 +104,6 @@ class LineSegment:
     @property
     def direction(self) -> np.ndarray:
         return self.q - self.p
-
-    @property
-    def line(self) -> np.ndarray:
-        """Supporting line in homogeneous coordinates."""
-        return line_through(hom_point(*self.p), hom_point(*self.q))
 
 
 @dataclass(frozen=True)

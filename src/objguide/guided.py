@@ -264,12 +264,15 @@ def _detection_streams(img: ImageInputs, vps: list[VanishingPoint], vp_params: V
 
     # A box stays orthogonal when the image lacks a vanishing point of either
     # orientation or when its adjusted quad is degenerate.
-    adjusted = list(orthogonal)
+    adjusted = orthogonal
     with suppress(MissingVanishingPointError):
         picks = vote_box_vps(img.boxes, img.segments, vps, vp_params)
-        for n, (vp_h, vp_v) in enumerate(picks):
-            with suppress(DegenerateInputError):
-                adjusted[n] = adjust_box(img.boxes[n], vp_h.point, vp_v.point)
+        quads = adjust_box(
+            img.boxes,
+            np.array([vp_h.point for vp_h, _ in picks]),
+            np.array([vp_v.point for _, vp_v in picks]),
+        )
+        adjusted = [o if q is None else q for o, q in zip(orthogonal, quads)]
 
     rectified: list[QuadBox] = []
     if img.rect_boxes:
@@ -280,10 +283,8 @@ def _detection_streams(img: ImageInputs, vps: list[VanishingPoint], vp_params: V
         for plane, box in img.rect_boxes:
             if not (0 <= plane < len(rectifiers)) or rectifiers[plane] is None:
                 continue
-            try:
+            with suppress(BackprojectionError):
                 rectified.append(backproject_quad(box, rectifiers[plane]))
-            except BackprojectionError:
-                continue
     # Detections in a rectified frame are already aligned with the plane's
     # vanishing directions, so adjustment there is the identity: the
     # rectified stream doubles as the adjusted rectified stream.

@@ -8,6 +8,7 @@ and the search repeats until no hypothesis is supported by two pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,14 @@ class Feature:
     desc: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", np.asarray(self.pos, dtype=float).reshape(2))
+        pos = np.asarray(self.pos, dtype=float).reshape(2)
         desc = np.asarray(self.desc, dtype=float)
-        n = np.linalg.norm(desc)
+        n = np.linalg.norm(desc)  # not finite when any component is not
+        if not (math.isfinite(pos[0]) and math.isfinite(pos[1]) and math.isfinite(n)):
+            raise ValueError("non-finite feature position or descriptor")
         if abs(n - 1.0) > 1e-6:
             raise ValueError("feature descriptor must be unit norm")
+        object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "desc", desc)
 
 
@@ -59,12 +63,15 @@ class MatchParams:
             raise ValueError("k_candidates must be >= 1")
         if not (0.0 < self.eps_iou <= 1.0):
             raise ValueError("eps_iou must be in (0, 1]")
-        if self.gem_p < 1.0:
+        # Each test is written so that nan fails it.
+        if not self.gem_p >= 1.0:
             raise ValueError("gem_p must be >= 1")
-        if self.r_search < 0.0:
+        if not self.r_search >= 0.0:
             raise ValueError("r_search must be >= 0")
         if not (0.0 < self.ratio <= 1.0):
             raise ValueError("ratio must be in (0, 1]")
+        if self.vp_weight is not None and not (0.0 <= self.vp_weight < np.inf):
+            raise ValueError("vp_weight must be finite and >= 0")
 
 
 @dataclass

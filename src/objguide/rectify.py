@@ -20,7 +20,8 @@ from .geom import (
     QuadBox,
     _at_infinity,
     bbox_overlaps,
-    canonical_quad_order,
+    join,
+    project_quads,
     quad_iou,
 )
 from .vanishing import (
@@ -40,7 +41,7 @@ class RectifierDegenerateError(DegenerateInputError):
 
 
 class BackprojectionError(DegenerateInputError):
-    """A rectified box corner maps to infinity in the original image."""
+    """A rectified box maps to no finite convex quad in the original image."""
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,10 @@ def build_rectifier(
 
     width, height = image_size
     center = np.array([width / 2.0, height / 2.0, 1.0])
-    l = np.cross(vp_h, vp_v)
-    ln = np.linalg.norm(l)
-    if ln < 1e-12 * np.linalg.norm(vp_h) * np.linalg.norm(vp_v):
+    l, coincident = join(vp_h, vp_v)
+    if coincident:
         raise DegenerateInputError("coincident vanishing points")
-    l = l / ln
+    l = l / np.linalg.norm(l)
     lc = float(l @ center)
     if abs(lc) < 1e-9 * np.linalg.norm(center):
         raise RectifierDegenerateError("vanishing line passes through the image center")
@@ -289,14 +289,10 @@ def build_plane_rectifiers(
 
 def backproject_quad(box: DetBox, r: Rectifier) -> QuadBox:
     """Map a rectified-frame detection back to the original image."""
-    try:
-        corners = r.H.inv.map_points(box.corners)
-    except DegenerateInputError as exc:
-        raise BackprojectionError(str(exc)) from exc
-    try:
-        return QuadBox(canonical_quad_order(corners), box.score)
-    except DegenerateInputError as exc:
-        raise BackprojectionError(str(exc)) from exc
+    [valid], [corners] = project_quads(r.H.inv, box.corners[None])
+    if not valid:
+        raise BackprojectionError("backprojected corner at infinity or quad not convex")
+    return QuadBox(corners, box.score)
 
 
 DEDUP_IOU = 0.8

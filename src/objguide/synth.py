@@ -394,13 +394,14 @@ def brute_force_nn(feats1: list[Feature], feats2: list[Feature]) -> list[Match]:
     return out
 
 
-def _inside_quad_grid(quad: QuadBox, pts: np.ndarray) -> np.ndarray:
+def _inside_quad_grid(quad: QuadBox, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mask (len(ys), len(xs)) of the grid points (xs[j], ys[i]) inside the quad."""
     v = quad.corners
     e = np.roll(v, -1, axis=0) - v
-    inside = np.ones(len(pts), dtype=bool)
+    inside = np.ones((len(ys), len(xs)), dtype=bool)
     for k in range(4):
-        d = pts - v[k]
-        inside &= e[k, 0] * d[:, 1] - e[k, 1] * d[:, 0] >= 0
+        # The edge's cross product with each point, split by grid axis.
+        inside &= (e[k, 0] * (ys - v[k, 1]))[:, None] - (e[k, 1] * (xs - v[k, 0]))[None, :] >= 0
     return inside
 
 
@@ -414,10 +415,8 @@ def raster_iou(a: QuadBox, b: QuadBox, resolution: int = 1000) -> float:
         return 0.0
     xs = lo[0] + (np.arange(resolution) + 0.5) * span[0] / resolution
     ys = lo[1] + (np.arange(resolution) + 0.5) * span[1] / resolution
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    in_a = _inside_quad_grid(a, pts)
-    in_b = _inside_quad_grid(b, pts)
+    in_a = _inside_quad_grid(a, xs, ys)
+    in_b = _inside_quad_grid(b, xs, ys)
     union = int(np.count_nonzero(in_a | in_b))
     if union == 0:
         return 0.0

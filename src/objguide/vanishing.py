@@ -26,6 +26,7 @@ from .geom import (
     _at_infinity,
     _hartley_transform,
     is_infinite,
+    join,
     normalize_h,
 )
 
@@ -49,7 +50,7 @@ class VpParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.angle_thresh <= 0.0:
+        if not self.angle_thresh > 0.0:  # also rejects nan
             raise ValueError("angle_thresh must be positive")
 
 
@@ -151,17 +152,6 @@ def _first_draws(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.sort(order[head])
 
 
-def _segment_lines(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Unit-norm supporting lines (m, 3) of the segments with endpoints p, q."""
-    ph = np.column_stack([p, np.ones(len(p))])
-    qh = np.column_stack([q, np.ones(len(q))])
-    lines = np.cross(ph, qh)
-    norms = np.linalg.norm(lines, axis=1)
-    if np.any(norms < 1e-12 * np.linalg.norm(ph, axis=1) * np.linalg.norm(qh, axis=1)):
-        raise DegenerateInputError("coincident points define no unique line")
-    return lines / norms[:, None]
-
-
 def residual_angle(s: LineSegment, v: np.ndarray) -> float:
     """Residual angle in degrees of one segment against one vanishing point
     (a one-row view of _residual_matrix)."""
@@ -198,7 +188,11 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
     if n < 2:
         return []
     p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
-    lines = _segment_lines(p_arr, q_arr)
+    ones = np.ones((n, 1))
+    lines, coincident = join(np.hstack([p_arr, ones]), np.hstack([q_arr, ones]))
+    if coincident.any():
+        raise DegenerateInputError("coincident points define no unique line")
+    lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
 
     rng = np.random.default_rng(params.rng_seed)
     remaining = np.arange(n)
@@ -239,17 +233,14 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
 
 
 def classify(
-    vps: list[VanishingPoint],
-    params: VpParams,
-    center: np.ndarray | tuple[float, float] = (0.0, 0.0),
+    vps: list[VanishingPoint], center: np.ndarray | tuple[float, float] = (0.0, 0.0)
 ) -> list[VanishingPoint]:
     """Assign vertical/horizontal orientations.
 
     A vanishing point is a vertical candidate when its direction (seen from
     the image center for finite points) is within VERTICAL_CONE of the
     image y-axis.  Only the best-supported candidate keeps the vertical
-    label; every other point is horizontal.  No field of params is read; the
-    argument stays because callers pass it positionally.
+    label; every other point is horizontal.
     """
     center = np.asarray(center, dtype=float)
     vertical_flags = []
@@ -282,9 +273,7 @@ def image_vps(
     segments: list[LineSegment], width: float, height: float, params: VpParams
 ) -> list[VanishingPoint]:
     """Vanishing points of one image, oriented about the image center."""
-    return classify(
-        estimate_vps(segments, params), params, center=(width / 2.0, height / 2.0)
-    )
+    return classify(estimate_vps(segments, params), center=(width / 2.0, height / 2.0))
 
 
 def best_by_orientation(vps: list[VanishingPoint], orientation: str) -> VanishingPoint:

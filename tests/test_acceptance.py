@@ -141,7 +141,6 @@ def test_criterion_2_vp_recovery():
         t0 = time.perf_counter()
         vps = classify(
             estimate_vps(segs_h + segs_v + outliers, VpParams(rng_seed=seed, angle_thresh=1.0)),
-            VpParams(),
             center=(640, 480),
         )
         worst_t = max(worst_t, time.perf_counter() - t0)

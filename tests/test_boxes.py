@@ -200,6 +200,119 @@ class TestVoteBoxVpsReference:
         assert len(picks) >= 3
 
 
+def _reference_adjust(box, vp_h, vp_v):
+    """Per-box construction that adjust_box's list form replaces: scalar
+    cross products, each checked in turn.  Returns (corners, None) or
+    (None, the first failed check)."""
+    norm = np.linalg.norm
+    vp_h, vp_v = np.asarray(vp_h, dtype=float), np.asarray(vp_v, dtype=float)
+    if norm(np.cross(vp_h, vp_v)) <= 1e-9 * norm(vp_h) * norm(vp_v):
+        return None, "coincident vps"
+
+    def cross(a, b):
+        c = np.cross(a, b)
+        return None if norm(c) < 1e-12 * norm(a) * norm(b) else c
+
+    xc, yc = (box.xmin + box.xmax) / 2.0, (box.ymin + box.ymax) / 2.0
+    mids = [[xc, box.ymin, 1.0], [xc, box.ymax, 1.0], [box.xmin, yc, 1.0], [box.xmax, yc, 1.0]]
+    top, bottom, left, right = (cross(m, vp) for m, vp in zip(mids, (vp_h, vp_h, vp_v, vp_v)))
+    if any(l is None for l in (top, bottom, left, right)):
+        return None, "vp on a midpoint"
+    corners_h = [cross(top, left), cross(top, right), cross(bottom, right), cross(bottom, left)]
+    if any(c is None for c in corners_h):
+        return None, "identical lines"
+    if any(abs(c[2]) < 1e-9 * np.hypot(c[0], c[1]) for c in corners_h):
+        return None, "corner at infinity"
+    try:
+        return QuadBox(np.array([[c[0] / c[2], c[1] / c[2]] for c in corners_h])).corners, None
+    except DegenerateInputError:
+        return None, "not convex"
+
+
+def _assert_adjust_equals_reference(boxes, vp_h, vp_v):
+    """adjust_box's list form against the reference, box by box; returns the
+    reference's failure reasons."""
+    got = adjust_box(boxes, vp_h, vp_v)
+    assert len(got) == len(boxes)
+    reasons = []
+    for box, h, v, quad in zip(boxes, vp_h, vp_v, got):
+        want, reason = _reference_adjust(box, h, v)
+        reasons.append(reason)
+        if want is None:
+            assert quad is None, reason
+        else:
+            assert quad is not None
+            assert quad.corners.tobytes() == want.tobytes()
+            assert quad.score == box.score
+    return reasons
+
+
+class TestAdjustBoxReference:
+    @pytest.mark.parametrize("preset", ["two-facade", "grid"])
+    def test_same_quads_as_per_box_loop(self, preset):
+        params = VpParams()
+        n = 0
+        for seed in (0, 1):
+            scene = generate(_preset_scene(preset, seed))
+            for img in (scene.img_a, scene.img_b):
+                vps = image_vps(img.segments, img.width, img.height, params)
+                picks = vote_box_vps(img.boxes, img.segments, vps, params)
+                vp_h = np.array([h.point for h, _ in picks])
+                vp_v = np.array([v.point for _, v in picks])
+                _assert_adjust_equals_reference(img.boxes, vp_h, vp_v)
+                n += len(img.boxes)
+        assert n >= 50
+
+    def test_same_quads_and_failures_on_planted_cases(self):
+        rng = np.random.default_rng(11)
+        boxes, vp_h, vp_v = [], [], []
+        for k in range(600):
+            x, y = rng.uniform(0, 1000, 2)
+            w, h = rng.uniform(5, 200, 2)
+            box = DetBox(x, y, x + w, y + h, rng.uniform())
+            top = np.array([x + w / 2, y, 1.0])
+            left = np.array([x, y + h / 2, 1.0])
+            case = k % 6
+            if case == 0:  # plausible facade geometry
+                a = [rng.choice([-1, 1]) * rng.uniform(1500, 6000), rng.uniform(0, 800), 1.0]
+                b = [rng.uniform(0, 1000), rng.choice([-1, 1]) * rng.uniform(4000, 20000), 1.0]
+                if rng.uniform() < 0.3:
+                    a[2] = b[2] = 0.0
+            elif case == 1:  # coincident, or within rounding of it
+                a = rng.normal(size=3)
+                b = a * rng.choice([-2.0, 1.0, 3.5]) + rng.choice([0.0, 1e-12]) * rng.normal(size=3)
+            elif case == 2:  # horizontal point on the top edge midpoint
+                a, b = top * rng.uniform(0.1, 10), [0.0, 1.0, 0.0]
+            elif case == 3:  # top and left construction lines identical
+                a = top + rng.uniform(-3, 3) * (left - top)
+                b = top + rng.uniform(-3, 3) * (left - top)
+            elif case == 4:  # top line parallel to left line: corner at infinity
+                d = np.array([rng.uniform(0.5, 1), rng.uniform(-0.5, 0.5), 0.0])
+                a, b = d, left + rng.uniform(50, 500) * d
+            else:  # points near the box: many quads fold over
+                a = [*(rng.uniform([x - w, y - h], [x + 2 * w, y + 2 * h])), 1.0]
+                b = [*(rng.uniform([x - w, y - h], [x + 2 * w, y + 2 * h])), 1.0]
+            boxes.append(box)
+            vp_h.append(a)
+            vp_v.append(b)
+        with np.errstate(all="raise"):
+            reasons = _assert_adjust_equals_reference(boxes, np.array(vp_h), np.array(vp_v))
+        counts = {r: reasons.count(r) for r in set(reasons)}
+        for reason in (None, "coincident vps", "vp on a midpoint", "identical lines",
+                       "corner at infinity", "not convex"):
+            assert counts.get(reason, 0) >= 10, counts
+
+    def test_one_box_is_a_one_row_view(self):
+        box = DetBox(100, 200, 160, 290, 0.8)
+        vp_h, vp_v = np.array([3000.0, 260.0, 1.0]), np.array([140.0, -9000.0, 1.0])
+        [quad] = adjust_box([box], vp_h[None], vp_v[None])
+        assert np.array_equal(adjust_box(box, vp_h, vp_v).corners, quad.corners)
+        assert adjust_box([box], vp_h[None], vp_h[None]) == [None]
+        with pytest.raises(AdjustmentError):
+            adjust_box(box, vp_h, vp_h)
+        assert adjust_box([], np.empty((0, 3)), np.empty((0, 3))) == []
+
+
 class TestAdjustmentPipeline:
     def test_estimated_vps_adjust_close_to_truth(self):
         # End to end: segments -> VPs -> adjusted boxes, on one slanted plane.
@@ -209,7 +322,7 @@ class TestAdjustmentPipeline:
 
         rng = np.random.default_rng(0)
         segs = _plane_segments(plane, h, rng, 0.0)
-        vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(640, 480))
+        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
         trues, boxes = [], []
         for world in _window_world_corners(plane):
             true = _project(h, world)

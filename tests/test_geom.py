@@ -9,12 +9,9 @@ from objguide.geom import (
     LineSegment,
     QuadBox,
     canonical_quad_order,
-    dehomogenize,
     dlt_homography,
-    hom_point,
-    intersect,
     is_infinite,
-    line_through,
+    join,
     normalize_h,
     project_quads,
     quad_iou,
@@ -33,54 +30,82 @@ def random_convex_quad(rng, lo=50.0, hi=950.0):
             continue
 
 
+def hom(x, y):
+    return np.array([float(x), float(y), 1.0])
+
+
+def line_through(p, q):
+    """The line through two points, by join; fails on coincident points."""
+    l, coincident = join(p, q)
+    assert not coincident
+    return l
+
+
 class TestLines:
     def test_line_through_x_axis(self):
-        l = line_through(hom_point(0, 0), hom_point(1, 0))
+        l = line_through(hom(0, 0), hom(1, 0))
         assert same_up_to_scale(l, [0, 1, 0])
 
     def test_line_through_y_axis(self):
-        l = line_through(hom_point(0, 0), hom_point(0, 1))
+        l = line_through(hom(0, 0), hom(0, 1))
         assert same_up_to_scale(l, [1, 0, 0])
 
     def test_line_through_diagonal(self):
         # cross((1,1,1),(2,2,1)) = (-1, 1, 0), i.e. proportional to (1,-1,0)
-        l = line_through(hom_point(1, 1), hom_point(2, 2))
+        l = line_through(hom(1, 1), hom(2, 2))
         assert same_up_to_scale(l, [1, -1, 0])
 
-    def test_coincident_points_raise(self):
-        with pytest.raises(DegenerateInputError):
-            line_through(hom_point(3, 4), np.array([6.0, 8.0, 2.0]))
+    def test_coincident_points_flagged(self):
+        _, coincident = join(hom(3, 4), np.array([6.0, 8.0, 2.0]))
+        assert coincident
 
     def test_incidence_property(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            p = hom_point(*rng.uniform(-1000, 1000, 2))
-            q = hom_point(*rng.uniform(-1000, 1000, 2))
+            p = hom(*rng.uniform(-1000, 1000, 2))
+            q = hom(*rng.uniform(-1000, 1000, 2))
             if same_up_to_scale(p, q):
                 continue
             l = normalize_h(line_through(p, q))
             assert abs(l @ normalize_h(p)) < 1e-10
             assert abs(l @ normalize_h(q)) < 1e-10
 
+    def test_stack_equals_rows(self):
+        # A stack (..., 3) gives each row's own product and flag.
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1000, 1000, (5, 4, 3))
+        b = rng.uniform(-1000, 1000, (5, 4, 3))
+        b[1, 2] = -3.0 * a[1, 2]
+        c, bad = join(a, b)
+        assert c.shape == (5, 4, 3) and bad.shape == (5, 4)
+        assert list(zip(*np.nonzero(bad))) == [(1, 2)]
+        for k in np.ndindex(5, 4):
+            ck, bk = join(a[k], b[k])
+            assert np.array_equal(c[k], ck) and bk == bad[k]
+
 
 class TestIntersect:
     def test_axes_meet_at_origin(self):
-        p = intersect(np.array([0.0, 1, 0]), np.array([1.0, 0, 0]))
+        p, identical = join(np.array([0.0, 1, 0]), np.array([1.0, 0, 0]))
+        assert not identical
         assert same_up_to_scale(p, [0, 0, 1])
 
     def test_parallel_lines_meet_at_infinity(self):
-        p = intersect(np.array([0.0, 1, 0]), np.array([0.0, 1, -1]))
+        p, identical = join(np.array([0.0, 1, 0]), np.array([0.0, 1, -1]))
+        assert not identical
         assert same_up_to_scale(p, [1, 0, 0])
         assert is_infinite(p)
 
     def test_crossing_diagonals(self):
-        a = line_through(hom_point(0, 0), hom_point(1, 1))
-        b = line_through(hom_point(0, 1), hom_point(1, 0))
-        assert np.allclose(dehomogenize(intersect(a, b)), [0.5, 0.5])
+        a = line_through(hom(0, 0), hom(1, 1))
+        b = line_through(hom(0, 1), hom(1, 0))
+        p, identical = join(a, b)
+        assert not identical
+        assert np.allclose(p[:2] / p[2], [0.5, 0.5])
 
-    def test_identical_lines_raise(self):
-        with pytest.raises(DegenerateInputError):
-            intersect(np.array([1.0, 2, 3]), np.array([2.0, 4, 6]))
+    def test_identical_lines_flagged(self):
+        _, identical = join(np.array([1.0, 2, 3]), np.array([2.0, 4, 6]))
+        assert identical
 
 
 class TestHomography:
@@ -391,7 +416,7 @@ class TestSegments:
         s = LineSegment((0, 0), (4, 0))
         assert s.length == 4
         assert np.allclose(s.midpoint, [2, 0])
-        assert same_up_to_scale(s.line, [0, 1, 0])
+        assert same_up_to_scale(line_through(hom(*s.p), hom(*s.q)), [0, 1, 0])
 
     def test_zero_length_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -199,6 +199,14 @@ class TestParseErrors:
             read(str(path))
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("line", ["inf 2 0.6 0.8", "1 nan 0.6 0.8", "1 2 nan 0.8"])
+    def test_non_finite_feature(self, tmp_path, line):
+        path = tmp_path / "features.txt"
+        path.write_text(f"D 2\n1 2 0.6 0.8\n{line}\n")
+        with pytest.raises(formats.ParseError, match="non-finite") as exc:
+            formats.read_features(str(path))
+        assert exc.value.line_no == 3
+
     def test_bad_refined_flag(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
@@ -323,6 +331,14 @@ class TestCli:
         ("--angle-thresh", "0"),
         ("--k-candidates", "-1"),
         ("--r-search", "-1"),
+        ("--angle-thresh", "nan"),
+        ("--gem-p", "nan"),
+        ("--r-search", "nan"),
+        ("--vp-weight", "nan"),
+        ("--vp-weight", "inf"),
+        ("--vp-weight", "-1"),
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
     ])
     def test_invalid_parameter_exit_code(self, tmp_path, capsys, flag, value):
         scene = _write_scene(tmp_path)
@@ -393,6 +409,22 @@ class TestCli:
         assert rc == EXIT_PARSE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {scene}/a/{name}:1: ")
+
+    def test_non_finite_feature_exit_code(self, tmp_path, capsys):
+        scene = _write_scene(tmp_path)
+        path = f"{scene}/a/features.txt"
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        fields = lines[2].split()
+        lines[2] = " ".join(fields[:2] + ["nan"] + fields[3:])
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}:3: non-finite")
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["match", "--dir1", str(tmp_path / "nope1"), "--dir2", str(tmp_path / "nope2"),

@@ -79,6 +79,27 @@ class TestMatchParams:
     def test_zero_search_radius_accepted(self):
         assert MatchParams(r_search=0.0).r_search == 0.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("gem_p", np.nan),
+        ("r_search", np.nan),
+        ("vp_weight", np.nan),
+        ("vp_weight", np.inf),
+        ("vp_weight", -1.0),
+    ])
+    def test_nan_and_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            MatchParams(**{field: value})
+
+
+@pytest.mark.parametrize("pos,desc", [
+    ([np.inf, 2.0], [0.6, 0.8]),
+    ([1.0, np.nan], [0.6, 0.8]),
+    ([1.0, 2.0], [np.nan, 0.8]),
+])
+def test_feature_rejects_non_finite(pos, desc):
+    with pytest.raises(ValueError, match="non-finite"):
+        Feature(id=0, pos=pos, desc=desc)
+
 
 class TestBoxDescriptor:
     def test_pools_only_inside_features(self):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from objguide.geom import DegenerateInputError, DetBox, LineSegment, QuadBox, normalize_h
+from objguide.geom import (
+    DegenerateInputError,
+    DetBox,
+    Homography,
+    LineSegment,
+    QuadBox,
+    normalize_h,
+)
 from objguide.rectify import (
     MODES,
+    BackprojectionError,
     ColumnInterval,
+    Rectifier,
     RectifierDegenerateError,
     backproject_quad,
     build_rectifier,
@@ -80,6 +89,19 @@ class TestBuildRectifier:
         segs = [LineSegment((0, 0), (30, 0))]
         with pytest.raises(RectifierDegenerateError):
             build_rectifier([340.0, 240.0, 1.0], [940.0, 720.0, 1.0], segs, (1280, 960))
+
+    def test_coincident_vps_rejected(self):
+        segs = [LineSegment((0, 0), (30, 0))]
+        with pytest.raises(DegenerateInputError, match="coincident"):
+            build_rectifier([3000.0, 240.0, 1.0], [-6000.0, -480.0, -2.0], segs, (1280, 960))
+
+    def test_backproject_corner_at_infinity_rejected(self):
+        # H^-1 sends the line x = -100 to infinity.
+        h_inv = np.array([[1.0, 0, 0], [0, 1, 0], [0.01, 0, 1]])
+        r = Rectifier(Homography(np.linalg.inv(h_inv)), np.zeros(3), np.zeros(3), 0)
+        with pytest.raises(BackprojectionError):
+            backproject_quad(DetBox(-100, 0, -50, 10), r)
+        assert backproject_quad(DetBox(-90, 0, -50, 10), r).corners.shape == (4, 2)
 
     def test_backproject_round_trip(self):
         _, _, segs, vp_h, vp_v = _plane_setup()

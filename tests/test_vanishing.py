@@ -23,6 +23,11 @@ from objguide.vanishing import (
 )
 
 
+def test_nan_angle_thresh_rejected():
+    with pytest.raises(ValueError):
+        VpParams(angle_thresh=np.nan)
+
+
 class TestResidualAngle:
     def test_aligned_horizontal(self):
         s = LineSegment((0, 0), (10, 0))
@@ -184,7 +189,7 @@ def _reference_estimate_vps(segments, params):
     if n < 2:
         return []
     p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
-    lines = np.array([s.line for s in segments])
+    lines = np.array([np.cross([*s.p, 1.0], [*s.q, 1.0]) for s in segments])
     lines = lines / np.linalg.norm(lines, axis=1, keepdims=True)
     rng = np.random.default_rng(params.rng_seed)
     remaining = np.arange(n)
@@ -234,18 +239,18 @@ def test_estimate_vps_matches_full_matrix_reference(preset, scene_seed):
 class TestClassify:
     def test_infinite_vertical(self):
         segs = [LineSegment((10 * i, 0), (10 * i, 100)) for i in range(10)]
-        vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(640, 480))
+        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
         assert vps[0].orientation == VERTICAL
 
     def test_infinite_horizontal(self):
         segs = [LineSegment((0, 10 * i), (200, 10 * i)) for i in range(10)]
-        vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(640, 480))
+        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
         assert vps[0].orientation == HORIZONTAL
 
     def test_far_lateral_point_is_horizontal(self):
         rng = np.random.default_rng(3)
         segs = pencil_segments(np.array([10000.0, 350, 1]), 20, rng)
-        vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(960, 540))
+        vps = classify(estimate_vps(segs, VpParams()), center=(960, 540))
         assert vps[0].orientation == HORIZONTAL
 
     def test_single_vertical_kept(self):
@@ -253,7 +258,7 @@ class TestClassify:
         rng = np.random.default_rng(6)
         segs = pencil_segments(np.array([600.0, 20000, 1]), 30, rng, region=(0, 0, 1280, 960))
         segs += pencil_segments(np.array([700.0, -30000, 1]), 12, rng, region=(0, 0, 1280, 960))
-        vps = classify(estimate_vps(segs, VpParams()), VpParams(), center=(640, 480))
+        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
         labels = [vp.orientation for vp in vps]
         assert labels.count(VERTICAL) == 1
         assert vps[0].orientation == VERTICAL
