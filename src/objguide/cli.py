@@ -60,6 +60,9 @@ def _checked(cls, **kwargs):
 
 
 def _vp_params(args) -> VpParams:
+    # Written so that nan fails it: read_segments would silently drop every segment.
+    if not args.min_seg_len >= 0.0:
+        raise InvalidParameterError("invalid parameter: min_seg_len must be >= 0")
     return _checked(VpParams, angle_thresh=args.angle_thresh, rng_seed=args.seed)
 
 

@@ -131,17 +131,6 @@ class Homography:
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(np.eye(3))
-
-    @classmethod
-    def translation(cls, tx: float, ty: float) -> "Homography":
-        m = np.eye(3)
-        m[0, 2] = tx
-        m[1, 2] = ty
-        return cls(m)
-
     @property
     def inv(self) -> "Homography":
         return Homography(np.linalg.inv(self.m))

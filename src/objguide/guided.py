@@ -2,9 +2,10 @@
 
 Each object group's homography is re-estimated from all supporting box
 corners with vanishing-point consistency rows, then used to project
-features and restrict their match candidates to a search radius.  Features
-left unmatched afterwards go through plain mutual-NN matching with a
-ratio test.
+features and restrict their match candidates to a search radius.  The
+candidates are assigned one to one in descending similarity, an exact tie
+going to the lower (i, j).  Features left unmatched afterwards go through
+plain mutual-NN matching with a ratio test.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .objmatch import (
     Feature,
     MatchParams,
     ObjectGroup,
+    _feature_table,
+    greedy_assign,
     greedy_match,
 )
 from .boxes import adjust_box, vote_box_vps
@@ -52,6 +55,7 @@ from .vanishing import (
 
 SUPPORT_MARGIN = 0.5  # dilation of the supporting quads for guided matching
 SIM_THRESH = 0.0  # lowest descriptor cosine a guided candidate may have
+QUERY_CELLS = 1 << 16  # distance cells per block of the guided radius query
 
 
 @dataclass(frozen=True)
@@ -150,64 +154,44 @@ def guided_match(
 ) -> list[Match]:
     """Match features inside the group's support through its homography.
 
-    Candidates are the image-2 features within r_search of the projection;
-    the most similar one wins.  Conflicts keep the higher-similarity match
-    and let the loser retry its remaining candidates.
+    Candidates are the image-2 features within r_search of the projection
+    whose descriptor cosine is at least SIM_THRESH.  They are assigned one
+    to one in descending similarity (objmatch.greedy_assign); an exact tie
+    goes to the lower (i, j).
     """
     claimed1 = claimed1 or set()
     claimed2 = claimed2 or set()
+    pool1 = [f for f in feats1 if f.id not in claimed1]
     pool2 = [f for f in feats2 if f.id not in claimed2]
-    if not pool2:
+    if not pool1 or not pool2:
         return []
-    pos2 = np.array([f.pos for f in pool2])
-    desc2 = np.array([f.desc for f in pool2])
-
-    pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in claimed1]
-    pos1 = np.array([f.pos for f in pool1], dtype=float).reshape(-1, 2)
+    ids1, pos1, desc1 = _feature_table(pool1)
+    ids2, pos2, desc2 = _feature_table(pool2)
     ph = g.H._map_h(pos1)
-    usable = support_region(g, boxes1, pos1) & ~_at_infinity(ph)
+    usable = np.flatnonzero(support_region(g, boxes1, pos1) & ~_at_infinity(ph))
+    if not usable.size:
+        return []
+    proj = ph[usable, :2] / ph[usable, 2:]
 
-    cand_lists: dict[int, list[tuple[float, int]]] = {}
-    order1 = []
-    for k in np.flatnonzero(usable):
-        f = pool1[k]
-        proj = ph[k, :2] / ph[k, 2]
-        d = np.linalg.norm(pos2 - proj, axis=1)
-        near = np.flatnonzero(d <= params.r_search)
-        if len(near) == 0:
-            continue
-        sims = desc2[near] @ f.desc
-        cands = sorted(
-            ((float(s), pool2[int(k)].id) for s, k in zip(sims, near) if s >= SIM_THRESH),
-            key=lambda t: (-t[0], t[1]),
-        )
-        if cands:
-            cand_lists[f.id] = cands
-            order1.append(f.id)
+    # Radius query and similarities a block of projections at a time, so the
+    # distance temporaries stay small on large pools.
+    step = max(1, QUERY_CELLS // len(pool2))
+    edges = []
+    for start in range(0, len(usable), step):
+        rows = usable[start : start + step]
+        dx = pos2[:, 0] - proj[start : start + step, :1]
+        dy = pos2[:, 1] - proj[start : start + step, 1:]
+        k, l = np.nonzero(np.sqrt(dx * dx + dy * dy) <= params.r_search)
+        sim = np.vecdot(desc1[rows[k]], desc2[l])
+        ok = sim >= SIM_THRESH
+        edges.append((ids1[rows[k[ok]]], ids2[l[ok]], sim[ok]))
+    i, j, sim = (np.concatenate(col) for col in zip(*edges))
 
-    assigned_j: dict[int, tuple[float, int]] = {}  # j -> (sim, i)
-    ptr = {i: 0 for i in order1}
-    queue = list(order1)
-    while queue:
-        i = queue.pop(0)
-        cands = cand_lists[i]
-        while ptr[i] < len(cands):
-            sim, j = cands[ptr[i]]
-            if j not in assigned_j:
-                assigned_j[j] = (sim, i)
-                break
-            held_sim, held_i = assigned_j[j]
-            if sim > held_sim:
-                assigned_j[j] = (sim, i)
-                ptr[held_i] += 1
-                queue.append(held_i)
-                break
-            ptr[i] += 1
-
-    return sorted(
-        (Match(i=i, j=j, sim=sim, group_id=group_id) for j, (sim, i) in assigned_j.items()),
-        key=lambda m: m.i,
-    )
+    kept = greedy_assign(sim, i, j)
+    return [
+        Match(i=a, j=b, sim=s, group_id=group_id)
+        for a, b, s in zip(i[kept].tolist(), j[kept].tolist(), sim[kept].tolist())
+    ]
 
 
 def additional_matches(
@@ -216,33 +200,37 @@ def additional_matches(
     already: MatchSet,
     ratio: float,
 ) -> list[Match]:
-    """Mutual-NN + ratio-test matching over the still-unmatched features."""
+    """Mutual-NN + ratio-test matching over the still-unmatched features.
+
+    Similarity ties go to the lower id.  The ratio test compares the best
+    with the second-best similarity and needs two image-2 features.
+    """
     used1 = {m.i for m in already.matches}
     used2 = {m.j for m in already.matches}
     pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in used1]
     pool2 = [f for f in sorted(feats2, key=lambda f: f.id) if f.id not in used2]
     if not pool1 or not pool2:
         return []
-    d1 = np.array([f.desc for f in pool1])
-    d2 = np.array([f.desc for f in pool2])
+    ids1, _, d1 = _feature_table(pool1)
+    ids2, _, d2 = _feature_table(pool2)
     sims = d1 @ d2.T
 
-    def dist(s):
-        return float(np.sqrt(max(2.0 - 2.0 * s, 0.0)))
-
+    best1 = np.argmax(sims, axis=1)  # for each i, best j
     best2 = np.argmax(sims, axis=0)  # for each j, best i
-    out = []
-    for a, f in enumerate(pool1):
-        order = np.argsort(-sims[a], kind="stable")
-        b = int(order[0])
-        if int(best2[b]) != a:
-            continue
-        if len(order) > 1:
-            s1, s2 = float(sims[a, b]), float(sims[a, int(order[1])])
-            if not dist(s1) < ratio * dist(s2):
-                continue
-        out.append(Match(i=f.id, j=pool2[b].id, sim=float(sims[a, b]), group_id=-1))
-    return out
+    rows = np.flatnonzero(best2[best1] == np.arange(len(pool1)))
+    cols = best1[rows]
+    s1 = sims[rows, cols]
+    if len(pool2) > 1:
+        top = sims[rows]
+        top.partition(-2, axis=1)
+        # Descriptor distances of the best and second-best unit vectors.
+        dist1, dist2 = np.sqrt(np.maximum(2.0 - 2.0 * np.stack([s1, top[:, -2]]), 0.0))
+        ok = dist1 < ratio * dist2
+        rows, cols, s1 = rows[ok], cols[ok], s1[ok]
+    return [
+        Match(i=a, j=b, sim=s, group_id=-1)
+        for a, b, s in zip(ids1[rows].tolist(), ids2[cols].tolist(), s1.tolist())
+    ]
 
 
 @dataclass

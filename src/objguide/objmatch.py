@@ -121,11 +121,17 @@ def box_descriptor(box: QuadBox, pos: np.ndarray, desc: np.ndarray, p: float) ->
     return gem_pool(desc[inside], p)
 
 
-def _feature_table(feats: list[Feature], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feature positions (F, 2) and descriptors (F, dim) of one image."""
+def _feature_table(
+    feats: list[Feature], dim: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature ids (F,), positions (F, 2) and descriptors (F, dim) of one image."""
     if not feats:
-        return np.zeros((0, 2)), np.zeros((0, dim))
-    return np.array([f.pos for f in feats]), np.array([f.desc for f in feats])
+        return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, dim))
+    return (
+        np.array([f.id for f in feats]),
+        np.array([f.pos for f in feats]),
+        np.array([f.desc for f in feats]),
+    )
 
 
 def candidates(
@@ -147,19 +153,25 @@ def hypothesis(q1: QuadBox, q2: QuadBox) -> Homography:
     return dlt_homography(q1.corners, q2.corners)
 
 
-def _greedy_pairs(iou: np.ndarray, eps_iou: float) -> list[tuple[int, int]]:
-    pairs: list[tuple[int, int]] = []
-    iou = iou.copy()
-    while iou.size:
-        flat = int(np.argmax(iou))
-        i, j = divmod(flat, iou.shape[1]) if iou.shape[1] else (0, 0)
-        if iou[i, j] < eps_iou:
-            break
-        pairs.append((i, j))
-        iou[i, :] = -1.0
-        iou[:, j] = -1.0
-    pairs.sort()
-    return pairs
+def greedy_assign(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Greedy one-to-one assignment of the edges (a[e], b[e]) scored score[e].
+
+    One pass in (-score, a, b) order keeps an edge when both of its ends are
+    still free, so an exact tie goes to the lower (a, b).  Returns the kept
+    edge indices by ascending a.  Without ties this is the unique stable
+    matching, the one deferred acceptance also finds.
+    """
+    order = np.lexsort((b, a, -score))
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    kept = []
+    for e, i, j in zip(order.tolist(), a[order].tolist(), b[order].tolist()):
+        if i not in used_a and j not in used_b:
+            used_a.add(i)
+            used_b.add(j)
+            kept.append(e)
+    kept = np.array(kept, dtype=np.intp)
+    return kept[np.argsort(a[kept])]
 
 
 def _round_cells(
@@ -196,14 +208,13 @@ def _support(
     stacked call.  Appearance is deliberately ignored here; geometry alone
     decides.
     """
-    hit1 = np.flatnonzero(cells.any(axis=1))
-    hit2 = np.flatnonzero(cells.any(axis=0))
-    a, b = np.nonzero(cells[np.ix_(hit1, hit2)])
-    iou = np.zeros((len(hit1), len(hit2)))
-    iou[a, b] = quad_iou(proj[hit1[a]], corners2[hit2[b]])
-    local = _greedy_pairs(iou, eps_iou)
-    pairs = [(int(hit1[a]), int(hit2[b])) for a, b in local]
-    return pairs, float(sum(iou[a, b] for a, b in local))
+    a, b = np.nonzero(cells)
+    iou = quad_iou(proj[a], corners2[b])
+    edge = np.flatnonzero(iou >= eps_iou)
+    kept = edge[greedy_assign(iou[edge], a[edge], b[edge])]
+    pairs = list(zip(a[kept].tolist(), b[kept].tolist()))
+    # Summed one float64 at a time in pair order, as the tie-break expects.
+    return pairs, float(sum(iou[kept]))
 
 
 def greedy_match(
@@ -222,8 +233,8 @@ def greedy_match(
     # dimension, so candidates fall back to index order.
     ref = feats1 or feats2
     dim = len(ref[0].desc) if ref else 0
-    pos1, fdesc1 = _feature_table(feats1, dim)
-    pos2, fdesc2 = _feature_table(feats2, dim)
+    _, pos1, fdesc1 = _feature_table(feats1, dim)
+    _, pos2, fdesc2 = _feature_table(feats2, dim)
     descs1 = np.array([box_descriptor(q, pos1, fdesc1, params.gem_p) for q in boxes1])
     descs2 = np.array([box_descriptor(q, pos2, fdesc2, params.gem_p) for q in boxes2])
     corners1 = np.array([q.corners for q in boxes1]).reshape(-1, 4, 2)

@@ -23,7 +23,7 @@ from objguide.geom import (
     dlt_homography,
     quad_iou,
 )
-from objguide.objmatch import MatchParams, gem_pool, greedy_match
+from objguide.objmatch import MatchParams, gem_pool, greedy_assign, greedy_match
 from objguide.rectify import DEDUP_IOU, MODES, merge_detections
 from objguide.synth import generate
 
@@ -47,6 +47,20 @@ def _reference_pairs(iou, eps):
         iou[i, :] = -1.0
         iou[:, j] = -1.0
     return sorted(pairs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_greedy_assign_matches_argmax_loop(seed):
+    # Small integer scores make exact ties common; edges come in random
+    # order and their labels are spaced out, so only (score, a, b) decides.
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        score = rng.integers(0, 5, rng.integers(1, 8, 2)).astype(float)
+        a, b = np.nonzero(score >= 1.0)
+        perm = rng.permutation(len(a))
+        a, b = a[perm], b[perm]
+        kept = greedy_assign(score[a, b], 3 * a + 7, 5 * b + 2)
+        assert list(zip(a[kept].tolist(), b[kept].tolist())) == _reference_pairs(score, 1.0)
 
 
 def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):

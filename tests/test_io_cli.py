@@ -337,6 +337,8 @@ class TestCli:
         ("--vp-weight", "nan"),
         ("--vp-weight", "inf"),
         ("--vp-weight", "-1"),
+        ("--min-seg-len", "nan"),
+        ("--min-seg-len", "-1"),
         ("--jobs", "0"),
         ("--jobs", "-2"),
     ])
@@ -349,6 +351,17 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not os.path.exists(tmp_path / "out")
+
+    def test_vps_rejects_nan_min_seg_len(self, tmp_path, capsys):
+        # nan would otherwise drop every segment and print no VP with exit 0.
+        scene = _write_scene(tmp_path)
+        capsys.readouterr()
+        rc = main(["vps", "--segments", f"{scene}/a/segments.txt", "--width", "1280",
+                   "--height", "960", "--min-seg-len", "nan"])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid parameter: min_seg_len")
 
     def test_match_without_pair_is_usage_error(self, tmp_path, capsys):
         # Rejected before any work, so no output directory appears.

@@ -149,7 +149,7 @@ class TestSupport:
 
     def test_identity_pairs_aligned_boxes(self):
         boxes = [self._q(0, 0), self._q(100, 0), self._q(0, 100)]
-        pairs = support(Homography.identity(), boxes, boxes, 0.5)
+        pairs = support(Homography(np.eye(3)), boxes, boxes, 0.5)
         assert pairs == [(0, 0), (1, 1), (2, 2)]
 
     def test_translation_hypothesis(self):
@@ -162,13 +162,13 @@ class TestSupport:
         # Two identical source boxes compete for a single target.
         b1 = [self._q(0, 0), self._q(0, 0)]
         b2 = [self._q(0, 0)]
-        pairs = support(Homography.identity(), b1, b2, 0.5)
+        pairs = support(Homography(np.eye(3)), b1, b2, 0.5)
         assert len(pairs) == 1
 
     def test_threshold_respected(self):
         b1 = [self._q(0, 0)]
         b2 = [self._q(35, 0)]  # IoU well below 0.5
-        assert support(Homography.identity(), b1, b2, 0.5) == []
+        assert support(Homography(np.eye(3)), b1, b2, 0.5) == []
 
 
 class TestGreedyMatch:
