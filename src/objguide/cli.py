@@ -66,6 +66,12 @@ def _vp_params(args) -> VpParams:
     return _checked(VpParams, angle_thresh=args.angle_thresh, rng_seed=args.seed)
 
 
+def _image_size(args) -> tuple[int, int]:
+    if args.width < 1 or args.height < 1:
+        raise InvalidParameterError("invalid parameter: width and height must be >= 1")
+    return args.width, args.height
+
+
 def _params_from_args(args) -> tuple[MatchParams, VpParams]:
     mp = _checked(
         MatchParams,
@@ -128,7 +134,7 @@ def cmd_match(args) -> int:
 def cmd_vps(args) -> int:
     vp_params = _vp_params(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    vps = image_vps(segments, args.width, args.height, vp_params)
+    vps = image_vps(segments, *_image_size(args), vp_params)
     if args.out:
         formats.write_vps(args.out, vps)
     for vp in vps:
@@ -140,7 +146,7 @@ def cmd_vps(args) -> int:
 def cmd_rectify(args) -> int:
     vp_params = _vp_params(args)
     segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    built, intervals = build_plane_rectifiers(segments, args.width, args.height, vp_params)
+    built, intervals = build_plane_rectifiers(segments, *_image_size(args), vp_params)
     for facade_id, r in enumerate(built):
         if r is None:
             print(f"plane {facade_id}: degenerate rectifier, skipped", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 # the Euclidean part.  Single shared predicate for the whole package.
 INFINITY_EPS = 1e-9
 SCALE_TOL = 1e-9  # same_up_to_scale: |a x b| <= SCALE_TOL |a| |b|
-CONTAINS_EPS = 1e-9  # QuadBox.contains_points: edge slack, as a cross product
+CONTAINS_EPS = 1e-9  # points_in_quads: edge slack, as a cross product
 
 
 class GeometryError(Exception):
@@ -245,23 +245,21 @@ class QuadBox:
     def from_detbox(cls, box: DetBox) -> "QuadBox":
         return cls(box.corners, box.score)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.corners.mean(axis=0)
 
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """Mask of the points (N, 2) inside the quad or within CONTAINS_EPS of its edges."""
-        p = np.asarray(points, dtype=float)
-        v = self.corners
-        e = v[_NEXT] - v
-        d = p[:, None, :] - v
-        cross = e[:, 0] * d[..., 1] - e[:, 1] * d[..., 0]
-        return np.all(cross >= -CONTAINS_EPS, axis=1)
-
-    def dilated(self, margin: float) -> "QuadBox":
-        """Scale the quad about its centroid by (1 + margin)."""
-        c = self.centroid
-        return QuadBox(c + (1.0 + margin) * (self.corners - c), self.score)
+def points_in_quads(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask (N, P) of the points (P, 2) inside each quad (N, 4, 2) or within
+    CONTAINS_EPS of its edges, as a cross product."""
+    corners = np.asarray(corners, dtype=float)
+    p = np.asarray(points, dtype=float)
+    inside = np.ones((len(corners), len(p)), dtype=bool)
+    for k in range(4):
+        v = corners[:, k]
+        e = corners[:, _NEXT[k]] - v
+        # The side of edge k, one (N, P) plane at a time.
+        dx = p[:, 0] - v[:, :1]
+        dy = p[:, 1] - v[:, 1:]
+        inside &= e[:, :1] * dy - e[:, 1:] * dx >= -CONTAINS_EPS
+    return inside
 
 
 def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:

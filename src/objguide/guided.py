@@ -24,14 +24,16 @@ from .geom import (
     QuadBox,
     _at_infinity,
     dlt_homography_h,
+    points_in_quads,
     project_quads,
     quad_iou,
 )
 from .objmatch import (
     Feature,
+    FeatureTable,
     MatchParams,
     ObjectGroup,
-    _feature_table,
+    feature_table,
     greedy_assign,
     greedy_match,
 )
@@ -88,8 +90,9 @@ def refine_homography(
     g.refined left False) when the system is degenerate or the refit breaks
     the group's IoU support.
     """
-    src = np.vstack([boxes1[i].corners for i, _ in g.pairs])
-    dst = np.vstack([boxes2[j].corners for _, j in g.pairs])
+    corners1 = np.array([boxes1[i].corners for i, _ in g.pairs])
+    corners2 = np.array([boxes2[j].corners for _, j in g.pairs])
+    src, dst = corners1.reshape(-1, 2), corners2.reshape(-1, 2)
     src_h = np.column_stack([src, np.ones(len(src))])
     dst_h = np.column_stack([dst, np.ones(len(dst))])
     weights = [1.0] * len(src)
@@ -112,21 +115,18 @@ def refine_homography(
             return np.inf
         return float(np.sqrt(np.mean(np.sum((proj - dst) ** 2, axis=1))))
 
+    g.refined = False
     try:
         refined = dlt_homography_h(src_h, dst_h, np.array(weights))
     except (EstimationError, DegenerateInputError):
-        g.refined = False
         return g.H
 
     # Accept only if the refit does not hurt the observed corners nor the
     # IoU support that defined the group.
     if corner_rms(refined) > corner_rms(g.H) + 1e-9:
-        g.refined = False
         return g.H
-    valid, proj = project_quads(refined, np.array([boxes1[i].corners for i, _ in g.pairs]))
-    corners2 = np.array([boxes2[j].corners for _, j in g.pairs])
+    valid, proj = project_quads(refined, corners1)
     if not valid.all() or np.any(quad_iou(proj, corners2) < params.eps_iou):
-        g.refined = False
         return g.H
 
     g.H = refined
@@ -135,92 +135,90 @@ def refine_homography(
 
 
 def support_region(g: ObjectGroup, boxes: list[QuadBox], points: np.ndarray) -> np.ndarray:
-    """Mask of the points (N, 2) inside any of the group's dilated supporting quads."""
-    inside = np.zeros(len(points), dtype=bool)
-    for i, _ in g.pairs:
-        inside |= boxes[i].dilated(SUPPORT_MARGIN).contains_points(points)
-    return inside
+    """Mask of the points (N, 2) inside any of the group's supporting quads,
+    each scaled about its centroid by 1 + SUPPORT_MARGIN."""
+    corners = np.array([boxes[i].corners for i, _ in g.pairs])
+    c = corners.mean(axis=1, keepdims=True)
+    return points_in_quads(c + (1.0 + SUPPORT_MARGIN) * (corners - c), points).any(axis=0)
 
 
 def guided_match(
-    feats1: list[Feature],
-    feats2: list[Feature],
+    table1: FeatureTable,
+    table2: FeatureTable,
     g: ObjectGroup,
     boxes1: list[QuadBox],
     params: MatchParams,
-    group_id: int = 0,
-    claimed1: set[int] | None = None,
-    claimed2: set[int] | None = None,
+    group_id: int,
+    free1: np.ndarray,
+    free2: np.ndarray,
 ) -> list[Match]:
     """Match features inside the group's support through its homography.
 
+    The pool is the rows of each feature table still set in its free mask;
+    the rows matched here are cleared.
     Candidates are the image-2 features within r_search of the projection
     whose descriptor cosine is at least SIM_THRESH.  They are assigned one
     to one in descending similarity (objmatch.greedy_assign); an exact tie
     goes to the lower (i, j).
     """
-    claimed1 = claimed1 or set()
-    claimed2 = claimed2 or set()
-    pool1 = [f for f in feats1 if f.id not in claimed1]
-    pool2 = [f for f in feats2 if f.id not in claimed2]
-    if not pool1 or not pool2:
+    ids1, pos1, desc1 = table1
+    ids2, pos2, desc2 = table2
+    rows1, rows2 = np.flatnonzero(free1), np.flatnonzero(free2)
+    if not rows1.size or not rows2.size:
         return []
-    ids1, pos1, desc1 = _feature_table(pool1)
-    ids2, pos2, desc2 = _feature_table(pool2)
-    ph = g.H._map_h(pos1)
-    usable = np.flatnonzero(support_region(g, boxes1, pos1) & ~_at_infinity(ph))
+    pool1 = pos1[rows1]
+    ph = g.H._map_h(pool1)
+    keep = support_region(g, boxes1, pool1) & ~_at_infinity(ph)
+    usable = rows1[keep]
     if not usable.size:
         return []
-    proj = ph[usable, :2] / ph[usable, 2:]
+    proj = ph[keep, :2] / ph[keep, 2:]
+    pool2 = pos2[rows2]
 
     # Radius query and similarities a block of projections at a time, so the
-    # distance temporaries stay small on large pools.
-    step = max(1, QUERY_CELLS // len(pool2))
+    # distance temporaries stay small on large pools.  Edges join table
+    # rows; rows are in id order, so the assignment's tie-break is by id.
+    step = max(1, QUERY_CELLS // len(rows2))
     edges = []
     for start in range(0, len(usable), step):
         rows = usable[start : start + step]
-        dx = pos2[:, 0] - proj[start : start + step, :1]
-        dy = pos2[:, 1] - proj[start : start + step, 1:]
+        dx = pool2[:, 0] - proj[start : start + step, :1]
+        dy = pool2[:, 1] - proj[start : start + step, 1:]
         k, l = np.nonzero(np.sqrt(dx * dx + dy * dy) <= params.r_search)
-        sim = np.vecdot(desc1[rows[k]], desc2[l])
+        sim = np.vecdot(desc1[rows[k]], desc2[rows2[l]])
         ok = sim >= SIM_THRESH
-        edges.append((ids1[rows[k[ok]]], ids2[l[ok]], sim[ok]))
+        edges.append((rows[k[ok]], rows2[l[ok]], sim[ok]))
     i, j, sim = (np.concatenate(col) for col in zip(*edges))
 
     kept = greedy_assign(sim, i, j)
+    i, j = i[kept], j[kept]
+    free1[i] = False
+    free2[j] = False
     return [
         Match(i=a, j=b, sim=s, group_id=group_id)
-        for a, b, s in zip(i[kept].tolist(), j[kept].tolist(), sim[kept].tolist())
+        for a, b, s in zip(ids1[i].tolist(), ids2[j].tolist(), sim[kept].tolist())
     ]
 
 
-def additional_matches(
-    feats1: list[Feature],
-    feats2: list[Feature],
-    already: MatchSet,
-    ratio: float,
-) -> list[Match]:
-    """Mutual-NN + ratio-test matching over the still-unmatched features.
+def additional_matches(table1: FeatureTable, table2: FeatureTable, ratio: float) -> list[Match]:
+    """Mutual-NN + ratio-test matching between two feature tables.
 
-    Similarity ties go to the lower id.  The ratio test compares the best
-    with the second-best similarity and needs two image-2 features.
+    Similarity ties go to the lower row, which is the lower id.  The ratio
+    test compares the best with the second-best similarity and needs two
+    image-2 features.
     """
-    used1 = {m.i for m in already.matches}
-    used2 = {m.j for m in already.matches}
-    pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in used1]
-    pool2 = [f for f in sorted(feats2, key=lambda f: f.id) if f.id not in used2]
-    if not pool1 or not pool2:
+    ids1, _, d1 = table1
+    ids2, _, d2 = table2
+    if not len(ids1) or not len(ids2):
         return []
-    ids1, _, d1 = _feature_table(pool1)
-    ids2, _, d2 = _feature_table(pool2)
     sims = d1 @ d2.T
 
     best1 = np.argmax(sims, axis=1)  # for each i, best j
     best2 = np.argmax(sims, axis=0)  # for each j, best i
-    rows = np.flatnonzero(best2[best1] == np.arange(len(pool1)))
+    rows = np.flatnonzero(best2[best1] == np.arange(len(ids1)))
     cols = best1[rows]
     s1 = sims[rows, cols]
-    if len(pool2) > 1:
+    if len(ids2) > 1:
         top = sims[rows]
         top.partition(-2, axis=1)
         # Descriptor distances of the best and second-best unit vectors.
@@ -294,40 +292,37 @@ def match_pair(
     params = params or MatchParams()
     vp_params = vp_params or VpParams()
 
+    # One feature table per image serves every matching stage.  A featureless
+    # image takes the other's descriptor dimension: its boxes pool to zeros.
+    feats = img1.features or img2.features
+    dim = len(feats[0].desc) if feats else 0
     report: dict = {"mode": mode}
-    boxes = []
-    vps_all = []
+    per_image = []
     for tag, img in (("1", img1), ("2", img2)):
         vps = image_vps(img.segments, img.width, img.height, vp_params)
-        vps_all.append(vps)
-        streams = _detection_streams(img, vps, vp_params)
-        merged = merge_detections(*streams, mode)
-        boxes.append(merged)
+        merged = merge_detections(*_detection_streams(img, vps, vp_params), mode)
+        per_image.append((vps, merged, feature_table(img.features, dim)))
         report[f"vps_{tag}"] = len(vps)
         report[f"boxes_{tag}"] = len(merged)
+    (vps1, boxes1, table1), (vps2, boxes2, table2) = per_image
 
-    boxes1, boxes2 = boxes
-    vps1, vps2 = vps_all
-
-    groups = greedy_match(boxes1, boxes2, img1.features, img2.features, params)
+    groups = greedy_match(boxes1, boxes2, table1, table2, params)
     for g in groups:
         refine_homography(g, boxes1, boxes2, vps1, vps2, params)
     report["groups"] = len(groups)
 
     matches: list[Match] = []
-    claimed1: set[int] = set()
-    claimed2: set[int] = set()
+    free1 = np.ones(len(table1[0]), dtype=bool)
+    free2 = np.ones(len(table2[0]), dtype=bool)
     for gid, g in enumerate(groups):
-        got = guided_match(
-            img1.features, img2.features, g, boxes1, params, gid, claimed1, claimed2
-        )
-        matches.extend(got)
-        claimed1.update(m.i for m in got)
-        claimed2.update(m.j for m in got)
+        matches += guided_match(table1, table2, g, boxes1, params, gid, free1, free2)
     report["guided_matches"] = len(matches)
 
-    partial = MatchSet(matches=matches, groups=groups)
-    extra = additional_matches(img1.features, img2.features, partial, params.ratio)
+    # The fallback sees the leftover rows only; the full tables are freed first.
+    del per_image
+    table1 = tuple(col[free1] for col in table1)
+    table2 = tuple(col[free2] for col in table2)
+    extra = additional_matches(table1, table2, params.ratio)
     report["additional_matches"] = len(extra)
 
     all_matches = sorted(matches + extra, key=lambda m: (m.i, m.j))

@@ -291,6 +291,8 @@ def read_image_dir(dirpath: str, min_seg_len: float = 0.0) -> ImageInputs:
             width, height = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParseError(dims_path, no, str(exc)) from exc
+        if width < 1 or height < 1:
+            raise ParseError(dims_path, no, "width and height must be >= 1")
         break
     else:
         raise ParseError(dims_path, 1, "empty dims file")

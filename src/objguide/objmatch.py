@@ -20,6 +20,7 @@ from .geom import (
     QuadBox,
     bbox_overlaps,
     dlt_homography,
+    points_in_quads,
     project_quads,
     quad_iou,
 )
@@ -108,30 +109,37 @@ def gem_pool(descs: np.ndarray, p: float) -> np.ndarray:
     return vec / n
 
 
-def box_descriptor(box: QuadBox, pos: np.ndarray, desc: np.ndarray, p: float) -> np.ndarray:
-    """Pooled descriptor of the features inside the quad.
+def box_descriptor(corners: np.ndarray, pos: np.ndarray, desc: np.ndarray, p: float) -> np.ndarray:
+    """Pooled descriptors (N, D) of the features inside each quad (N, 4, 2).
 
     pos (F, 2) and desc (F, D) are one image's feature positions and
     descriptors.  A box containing no features gets the zero sentinel of
     length D, which has cosine similarity 0 to everything.
     """
-    inside = box.contains_points(pos)
-    if not inside.any():
-        return np.zeros(desc.shape[1])
-    return gem_pool(desc[inside], p)
+    inside = points_in_quads(corners, pos)
+    out = np.zeros((len(inside), desc.shape[1]))
+    for k in np.flatnonzero(inside.any(axis=1)):
+        out[k] = gem_pool(desc[inside[k]], p)
+    return out
 
 
-def _feature_table(
-    feats: list[Feature], dim: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature ids (F,), positions (F, 2) and descriptors (F, dim) of one image."""
+FeatureTable = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def feature_table(feats: list[Feature], dim: int = 0) -> FeatureTable:
+    """Feature ids (F,), positions (F, 2) and descriptors (F, dim) of one image.
+
+    Rows are in ascending id order, so row order is id order for every
+    tie-break downstream.  dim is the descriptor length of an empty table.
+    Raises ValueError on a repeated id.
+    """
     if not feats:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, dim))
-    return (
-        np.array([f.id for f in feats]),
-        np.array([f.pos for f in feats]),
-        np.array([f.desc for f in feats]),
-    )
+    feats = sorted(feats, key=lambda f: f.id)
+    ids = np.array([f.id for f in feats])
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("repeated feature id")
+    return ids, np.array([f.pos for f in feats]), np.array([f.desc for f in feats])
 
 
 def candidates(
@@ -220,25 +228,21 @@ def _support(
 def greedy_match(
     boxes1: list[QuadBox],
     boxes2: list[QuadBox],
-    feats1: list["Feature"],
-    feats2: list["Feature"],
+    table1: FeatureTable,
+    table2: FeatureTable,
     params: MatchParams,
 ) -> list[ObjectGroup]:
     """Extract object groups by repeated best-supported homography hypotheses.
 
-    Fully deterministic: ties are resolved by larger summed IoU, then by the
-    lexicographically smaller supporting pair list.
+    table1 and table2 are the images' feature_table rows, which give the
+    boxes their pooled descriptors.  Fully deterministic: ties are resolved
+    by larger summed IoU, then by the lexicographically smaller supporting
+    pair list.
     """
-    # A featureless image gets zero descriptors of the other image's
-    # dimension, so candidates fall back to index order.
-    ref = feats1 or feats2
-    dim = len(ref[0].desc) if ref else 0
-    _, pos1, fdesc1 = _feature_table(feats1, dim)
-    _, pos2, fdesc2 = _feature_table(feats2, dim)
-    descs1 = np.array([box_descriptor(q, pos1, fdesc1, params.gem_p) for q in boxes1])
-    descs2 = np.array([box_descriptor(q, pos2, fdesc2, params.gem_p) for q in boxes2])
     corners1 = np.array([q.corners for q in boxes1]).reshape(-1, 4, 2)
     corners2 = np.array([q.corners for q in boxes2]).reshape(-1, 4, 2)
+    descs1 = box_descriptor(corners1, table1[1], table1[2], params.gem_p)
+    descs2 = box_descriptor(corners2, table2[1], table2[2], params.gem_p)
 
     remaining1 = list(range(len(boxes1)))
     remaining2 = list(range(len(boxes2)))

@@ -198,17 +198,9 @@ def segment_columns(
         return [ColumnInterval(0, width, best_vp)]
 
     # Maximal runs of confidently, identically labeled columns.
-    runs: list[tuple[int, int, int]] = []
-    c = 0
-    while c < width:
-        if not confident[c]:
-            c += 1
-            continue
-        label = int(first[c])
-        start = c
-        while c < width and confident[c] and int(first[c]) == label:
-            c += 1
-        runs.append((start, c, label))
+    lab = np.where(confident, first, -1)
+    cuts = (np.flatnonzero(np.diff(lab)) + 1).tolist()
+    runs = [(s, e, int(lab[s])) for s, e in zip([0] + cuts, cuts + [width]) if lab[s] >= 0]
 
     boundaries = [0]
     labels = [runs[0][2]]
@@ -231,8 +223,8 @@ def segment_columns(
     boundaries.append(width)
 
     return [
-        ColumnInterval(lo, hi, lab)
-        for lo, hi, lab in zip(boundaries, boundaries[1:], labels)
+        ColumnInterval(lo, hi, label)
+        for lo, hi, label in zip(boundaries, boundaries[1:], labels)
         if lo < hi
     ]
 

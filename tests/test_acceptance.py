@@ -39,7 +39,7 @@ from objguide.io import (
     write_quads,
     write_segments,
 )
-from objguide.objmatch import Feature, MatchParams, ObjectGroup, greedy_match
+from objguide.objmatch import Feature, MatchParams, ObjectGroup, feature_table, greedy_match
 from objguide.rectify import (
     backproject_quad,
     build_plane_rectifiers,
@@ -295,7 +295,9 @@ def test_criterion_6_greedy_object_matching():
         scene = generate(_two_plane_spec(seed))
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        groups = greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, params)
+        groups = greedy_match(
+            b1, b2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+        )
         seen1, seen2 = set(), set()
         for g in groups:
             assert g.support == len(g.pairs) >= 2
@@ -357,7 +359,7 @@ def test_criterion_7_guided_vs_unguided():
             )
         )
         mutual = additional_matches(
-            scene.img_a.features, scene.img_b.features, MatchSet([], []), ratio=1.0
+            feature_table(scene.img_a.features), feature_table(scene.img_b.features), ratio=1.0
         )
         assert score(mutual, scene.img_b.features, scene.gt).precision < 0.5
         ms, _ = match_pair(scene.img_a, scene.img_b)
@@ -387,7 +389,9 @@ def test_criterion_8_refinement_monotonicity():
         )
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        groups = greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, params)
+        groups = greedy_match(
+            b1, b2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+        )
         assert groups
         g = groups[0]
         before = homography_rms(g.H, 0, scene.gt)

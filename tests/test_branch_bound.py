@@ -23,17 +23,18 @@ from objguide.geom import (
     dlt_homography,
     quad_iou,
 )
-from objguide.objmatch import MatchParams, gem_pool, greedy_assign, greedy_match
+from objguide.objmatch import MatchParams, feature_table, gem_pool, greedy_assign, greedy_match
 from objguide.rectify import DEDUP_IOU, MODES, merge_detections
 from objguide.synth import generate
 
 from test_acceptance import _two_plane_spec
+from test_geom import contains_points
 
 
 def _reference_descriptors(boxes, feats, dim, p):
     out = []
     for q in boxes:
-        inside = [f.desc for f in feats if q.contains_points(f.pos[None])[0]]
+        inside = [f.desc for f in feats if contains_points(q.corners, f.pos[None])[0]]
         out.append(gem_pool(np.array(inside), p) if inside else np.zeros(dim))
     return np.array(out).reshape(len(boxes), dim)
 
@@ -109,7 +110,12 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
 
 def _assert_same_groups(boxes1, boxes2, feats1, feats2, params=None):
     params = params or MatchParams()
-    got = greedy_match(boxes1, boxes2, feats1, feats2, params)
+    # A featureless image's table takes the other image's dimension, as in
+    # match_pair.
+    ref = feats1 or feats2
+    dim = len(ref[0].desc) if ref else 0
+    tables = feature_table(feats1, dim), feature_table(feats2, dim)
+    got = greedy_match(boxes1, boxes2, *tables, params)
     want = reference_greedy_match(boxes1, boxes2, feats1, feats2, params)
     assert [(g.pairs, g.H.m.tobytes()) for g in got] == want
     return got

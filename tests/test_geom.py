@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from objguide.geom import (
+    CONTAINS_EPS,
     DegenerateInputError,
     DetBox,
     EstimationError,
@@ -13,6 +14,7 @@ from objguide.geom import (
     is_infinite,
     join,
     normalize_h,
+    points_in_quads,
     project_quads,
     quad_iou,
     same_up_to_scale,
@@ -28,6 +30,16 @@ def random_convex_quad(rng, lo=50.0, hi=950.0):
             return QuadBox(canonical_quad_order(pts))
         except DegenerateInputError:
             continue
+
+
+def contains_points(corners, points):
+    """One quad's containment mask, as QuadBox.contains_points computed it."""
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(corners, dtype=float)
+    e = v[[1, 2, 3, 0]] - v
+    d = p[:, None, :] - v
+    cross = e[:, 0] * d[..., 1] - e[:, 1] * d[..., 0]
+    return np.all(cross >= -CONTAINS_EPS, axis=1)
 
 
 def hom(x, y):
@@ -360,7 +372,8 @@ class TestBoxes:
 
     def test_contains(self):
         q = QuadBox.from_detbox(DetBox(0, 0, 1, 1))
-        assert list(q.contains_points([[0.5, 0.5], [0, 0], [1.2, 0.5]])) == [True, True, False]
+        mask = points_in_quads(q.corners[None], [[0.5, 0.5], [0, 0], [1.2, 0.5]])
+        assert mask.tolist() == [[True, True, False]]
 
     def test_canonical_order(self):
         corners = np.array([[10, 2], [1, 1], [9, 9], [2, 11]], float)
@@ -381,7 +394,42 @@ class TestBoxes:
         rng = np.random.default_rng(6)
         q = random_convex_quad(rng)
         pts = np.vstack([rng.uniform(0, 1000, (200, 2)), q.corners])
-        assert list(q.contains_points(pts)) == [q.contains_points(p[None])[0] for p in pts]
+        mask = points_in_quads(q.corners[None], pts)[0]
+        assert list(mask) == [points_in_quads(q.corners[None], p[None])[0, 0] for p in pts]
+
+    def test_points_in_quads_equals_one_quad_reference(self):
+        rng = np.random.default_rng(16)
+        box = QuadBox.from_detbox(DetBox(100, 100, 300, 200)).corners
+        quads = np.array([random_convex_quad(rng).corners for _ in range(30)] + [box])
+        edge = quads[:, [1, 2, 3, 0]] - quads
+        # On each edge up to rounding, and off it by fractions of the slack:
+        # a cross product is the edge length times the offset.
+        on_edge = quads + rng.uniform(0, 1, (len(quads), 4, 1)) * edge
+        length = np.linalg.norm(edge, axis=2, keepdims=True)
+        normal = np.stack([edge[..., 1], -edge[..., 0]], axis=2) / length  # outward
+        near = [on_edge + f * CONTAINS_EPS / length * normal for f in (0.5, 1.0, 2.0)]
+        # Exactly on the box's edges, then above its top edge by a cross
+        # product of 2e-10 (inside the slack) and 2e-9 (outside it).
+        exact = [[200, 100], [300, 150], [200, 200], [100, 150], [200, 100 - 1e-12],
+                 [200, 100 - 1e-11]]
+        pts = np.vstack([
+            rng.uniform(0, 1000, (300, 2)), quads.reshape(-1, 2), on_edge.reshape(-1, 2),
+            *(n.reshape(-1, 2) for n in near), exact,
+        ])
+        got = points_in_quads(quads, pts)
+        assert got.shape == (len(quads), len(pts))
+        for q, row in zip(quads, got):
+            assert np.array_equal(row, contains_points(q, pts))
+        assert got[-1, -6:].tolist() == [True] * 5 + [False]
+        # Each quad holds its own edge points half the slack outside and
+        # loses those twice the slack outside.
+        own = np.arange(len(quads))[:, None] * 4 + np.arange(4)
+        first_near = len(pts) - len(exact) - 3 * 4 * len(quads)
+        rows = np.arange(len(quads))[:, None]
+        assert got[rows, first_near + own].all()
+        assert not got[rows, first_near + 8 * len(quads) + own].any()
+        assert points_in_quads(quads, np.zeros((0, 2))).shape == (len(quads), 0)
+        assert points_in_quads(np.zeros((0, 4, 2)), pts).shape == (0, len(pts))
 
     def test_project_quads_equals_per_quad_projection(self):
         # x = 512 goes to infinity: one quad has a corner on that line, one

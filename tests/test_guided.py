@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from objguide.cli import _preset_scene
 from objguide.geom import DetBox, Homography, QuadBox, _at_infinity
 from objguide.guided import (
     SIM_THRESH,
@@ -14,7 +15,7 @@ from objguide.guided import (
     refine_homography,
     support_region,
 )
-from objguide.objmatch import Feature, MatchParams, ObjectGroup
+from objguide.objmatch import Feature, MatchParams, ObjectGroup, feature_table
 from objguide.synth import (
     NoiseSpec,
     PlaneSpec,
@@ -35,6 +36,30 @@ def _unit(v):
 
 def _feat(fid, pos, desc):
     return Feature(id=fid, pos=pos, desc=_unit(desc))
+
+
+def _free(table, taken):
+    """Free mask of a feature table: the rows whose ids are not taken."""
+    return ~np.isin(table[0], list(taken))
+
+
+def _rows(table, free):
+    return tuple(col[free] for col in table)
+
+
+def _guided(feats1, feats2, g, boxes, params, group_id=0, claimed1=(), claimed2=()):
+    """guided_match on the features' tables with the claimed ids masked out."""
+    t1, t2 = feature_table(feats1), feature_table(feats2)
+    free1, free2 = _free(t1, claimed1), _free(t2, claimed2)
+    return guided_match(t1, t2, g, boxes, params, group_id, free1, free2)
+
+
+def _additional(feats1, feats2, already, ratio):
+    """additional_matches on the rows left free by the matches already made."""
+    t1, t2 = feature_table(feats1), feature_table(feats2)
+    free1 = _free(t1, {m.i for m in already.matches})
+    free2 = _free(t2, {m.j for m in already.matches})
+    return additional_matches(_rows(t1, free1), _rows(t2, free2), ratio)
 
 
 def _shift(tx, ty):
@@ -79,7 +104,7 @@ class TestGuidedMatch:
         f2 = self._grid(shared=shared, shift=np.array([5.0, 3.0]))
         boxes = [QuadBox.from_detbox(DetBox(-50, -50, 350, 350))]
         g = ObjectGroup(H=_shift(5, 3), pairs=[(0, 0)])
-        got = guided_match(f1, f2, g, boxes, MatchParams())
+        got = _guided(f1, f2, g, boxes, MatchParams())
         assert len(got) == 16
         assert all(m.i == m.j for m in got)  # identical ids = true partners
         # The unguided baseline has no way to tell identical descriptors apart.
@@ -92,8 +117,8 @@ class TestGuidedMatch:
         f2 = [_feat(0, [100.0, 0], shared)]
         boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        assert guided_match(f1, f2, g, boxes, MatchParams(r_search=20.0)) == []
-        got = guided_match(f1, f2, g, boxes, MatchParams(r_search=150.0))
+        assert _guided(f1, f2, g, boxes, MatchParams(r_search=20.0)) == []
+        got = _guided(f1, f2, g, boxes, MatchParams(r_search=150.0))
         assert [(m.i, m.j) for m in got] == [(0, 0)]
 
     def test_conflict_keeps_higher_similarity(self):
@@ -105,7 +130,7 @@ class TestGuidedMatch:
         f2 = [_feat(0, [1.0, 0], target), _feat(1, [4.0, 0], [0.8, 0.6, 0, 0])]
         boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        got = guided_match(f1, f2, g, boxes, MatchParams(r_search=20.0))
+        got = _guided(f1, f2, g, boxes, MatchParams(r_search=20.0))
         by_i = {m.i: m.j for m in got}
         assert by_i[1] == 0  # exact-match pair wins the conflict
         assert by_i[0] == 1  # the other one takes its next candidate
@@ -116,8 +141,12 @@ class TestGuidedMatch:
         f2 = [_feat(0, [0, 0], shared)]
         boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        assert guided_match(f1, f2, g, boxes, MatchParams(), claimed1={0}) == []
-        assert guided_match(f1, f2, g, boxes, MatchParams(), claimed2={0}) == []
+        t1, t2 = feature_table(f1), feature_table(f2)
+        for free in (([False], [True]), ([True], [False])):
+            free1, free2 = map(np.array, free)
+            assert guided_match(t1, t2, g, boxes, MatchParams(), 0, free1, free2) == []
+            assert (free1.tolist(), free2.tolist()) == free  # nothing matched, nothing cleared
+        assert [(m.i, m.j) for m in _guided(f1, f2, g, boxes, MatchParams())] == [(0, 0)]
 
 
 def _reference_guided(feats1, feats2, g, boxes1, params, claimed1=(), claimed2=()):
@@ -197,13 +226,29 @@ class TestGuidedMatchReference:
             if gaps.size and gaps.min() < 1e-12:
                 continue
             want = _reference_guided(f1, f2, g, boxes, params, c1, c2)
-            got = guided_match(f1, f2, g, boxes, params, 4, c1, c2)
+            got = _guided(f1, f2, g, boxes, params, 4, c1, c2)
             assert [(m.i, m.j) for m in got] == [(i, j) for i, j, _ in want]
             assert all(m.group_id == 4 for m in got)
             # The reference's subset gemv and np.vecdot may round differently.
             sims = np.array([m.sim for m in got]) - [s for _, _, s in want]
             assert np.all(np.abs(sims) <= 4 * np.finfo(float).eps)
             checked += 1
+
+    def test_clears_exactly_the_matched_rows(self):
+        rng = np.random.default_rng(9)
+        matched = 0
+        for _ in range(30):
+            f1, f2, g, boxes, params, c1, c2 = self._instance(rng)
+            t1, t2 = feature_table(f1), feature_table(f2)
+            free1, free2 = _free(t1, c1), _free(t2, c2)
+            before1, before2 = free1.copy(), free2.copy()
+            got = guided_match(t1, t2, g, boxes, params, 0, free1, free2)
+            assert set(t1[0][before1 & ~free1].tolist()) == {m.i for m in got}
+            assert set(t2[0][before2 & ~free2].tolist()) == {m.j for m in got}
+            assert np.all(free1 <= before1) and np.all(free2 <= before2)
+            assert len({m.i for m in got}) == len(got) == len({m.j for m in got})
+            matched += len(got)
+        assert matched > 0
 
     def test_exact_tie_goes_to_lower_image1_id(self):
         # Image-1 features 0 and 1 have the same cosine 0.6 with image-2
@@ -218,7 +263,7 @@ class TestGuidedMatchReference:
         ]
         boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        got = guided_match(f1, f2, g, boxes, MatchParams())
+        got = _guided(f1, f2, g, boxes, MatchParams())
         assert [(m.i, m.j) for m in got] == [(0, 1), (2, 0)]
         assert [(i, j) for i, j, _ in _reference_guided(f1, f2, g, boxes, MatchParams())] == [
             (1, 1), (2, 0)
@@ -267,7 +312,7 @@ class TestAdditionalMatchesReference:
         return f1, f2
 
     def _check(self, f1, f2, already, ratio):
-        got = additional_matches(f1, f2, already, ratio)
+        got = _additional(f1, f2, already, ratio)
         want = _reference_additional(f1, f2, already, ratio)
         assert [(m.i, m.j, m.sim) for m in got] == want
         assert all(m.group_id == -1 for m in got)
@@ -303,20 +348,20 @@ class TestAdditionalMatches:
     def test_mutual_nn_with_ratio(self):
         f1 = [_feat(0, [0, 0], [1.0, 0, 0]), _feat(1, [5, 0], [0, 1.0, 0])]
         f2 = [_feat(0, [0, 0], [0, 1.0, 0.1]), _feat(1, [5, 0], [1.0, 0.1, 0])]
-        got = additional_matches(f1, f2, MatchSet([], []), ratio=0.8)
+        got = additional_matches(feature_table(f1), feature_table(f2), ratio=0.8)
         assert {(m.i, m.j) for m in got} == {(0, 1), (1, 0)}
         assert all(m.group_id == -1 for m in got)
 
     def test_ratio_rejects_ambiguous(self):
         f1 = [_feat(0, [0, 0], [1.0, 0, 0])]
         f2 = [_feat(0, [0, 0], [1.0, 0.05, 0]), _feat(1, [5, 0], [1.0, -0.05, 0])]
-        assert additional_matches(f1, f2, MatchSet([], []), ratio=0.8) == []
+        assert additional_matches(feature_table(f1), feature_table(f2), ratio=0.8) == []
 
     def test_already_matched_excluded(self):
         f1 = [_feat(0, [0, 0], [1.0, 0, 0])]
         f2 = [_feat(0, [0, 0], [1.0, 0, 0])]
         taken = MatchSet([Match(0, 0, 1.0, 0)], [])
-        assert additional_matches(f1, f2, taken, ratio=0.8) == []
+        assert _additional(f1, f2, taken, ratio=0.8) == []
 
 
 class TestRefineHomography:
@@ -328,7 +373,8 @@ class TestRefineHomography:
             b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
             b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
             params = MatchParams()
-            groups = greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, params)
+            tables = feature_table(scene.img_a.features), feature_table(scene.img_b.features)
+            groups = greedy_match(b1, b2, *tables, params)
             assert groups
             g = groups[0]
             before = homography_rms(g.H, 0, scene.gt)
@@ -377,6 +423,13 @@ class TestMatchPair:
         for mode in ("O", "OA", "O+R"):
             ms, report = match_pair(scene.img_a, scene.img_b, mode=mode)
             assert report["mode"] == mode
+
+    def test_repeated_feature_ids_rejected(self):
+        # Ids that collide would silently merge features into one row.
+        scene = generate(_preset_scene("single", 0))
+        feats = [replace(f, id=f.id % 10) for f in scene.img_a.features]
+        with pytest.raises(ValueError, match="repeated feature id"):
+            match_pair(replace(scene.img_a, features=feats), scene.img_b)
 
     def test_one_featureless_image(self):
         # Boxes still group by geometry alone; with no features on one side

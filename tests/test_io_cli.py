@@ -177,6 +177,15 @@ class TestParseErrors:
             formats.read_image_dir(f"{scene}/a")
         assert exc.value.path.endswith("dims.txt") and exc.value.line_no == 1
 
+    @pytest.mark.parametrize("text", ["0 960\n", "-1280 960\n", "1280 0\n"])
+    def test_non_positive_dims(self, tmp_path, text):
+        scene = _write_scene(tmp_path)
+        with open(f"{scene}/a/dims.txt", "w") as fh:
+            fh.write(text)
+        with pytest.raises(formats.ParseError, match="must be >= 1") as exc:
+            formats.read_image_dir(f"{scene}/a")
+        assert exc.value.path.endswith("dims.txt") and exc.value.line_no == 1
+
     def test_truncated_group(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
@@ -396,6 +405,36 @@ class TestCli:
                   "--height", "960", "--out", str(tmp_path / "out"), flag, value])
         assert exc.value.code == EXIT_PARSE
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["O", "(O+R)A"])
+    @pytest.mark.parametrize("text", ["0 960\n", "-1280 960\n"])
+    def test_non_positive_dims_exit_code(self, tmp_path, capsys, mode, text):
+        # A two-facade scene builds rectifiers in every mode, which crashed
+        # on an empty column range before the size was checked.
+        scene = str(tmp_path / "scene")
+        assert main(["synth", "--out", scene, "--preset", "two-facade", "--seed", "0"]) == 0
+        with open(f"{scene}/a/dims.txt", "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out"), "--mode", mode])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {scene}/a/dims.txt:1: ")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["vps", "rectify"])
+    @pytest.mark.parametrize("size", [("0", "960"), ("-5", "960"), ("1280", "0"), ("0", "0")])
+    def test_non_positive_size_flags_rejected(self, tmp_path, capsys, command, size):
+        scene = _write_scene(tmp_path)
+        capsys.readouterr()
+        rc = main([command, "--segments", f"{scene}/a/segments.txt", "--width", size[0],
+                   "--height", size[1], "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid parameter: width and height")
+        assert not os.path.exists(tmp_path / "out")
 
     def test_parse_error_exit_code(self, tmp_path):
         scene = _write_scene(tmp_path)

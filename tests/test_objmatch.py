@@ -10,11 +10,14 @@ from objguide.objmatch import (
     _support,
     box_descriptor,
     candidates,
+    feature_table,
     gem_pool,
     greedy_match,
     hypothesis,
 )
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
+
+from test_geom import contains_points, random_convex_quad
 
 
 def _unit(v):
@@ -24,6 +27,10 @@ def _unit(v):
 
 def _feat(fid, pos, desc):
     return Feature(id=fid, pos=pos, desc=_unit(desc))
+
+
+def _tables(scene):
+    return feature_table(scene.img_a.features), feature_table(scene.img_b.features)
 
 
 class TestGemPool:
@@ -108,16 +115,52 @@ class TestBoxDescriptor:
         outside = _feat(1, [50, 50], [0, 1, 0])
         pos = np.array([inside.pos, outside.pos])
         desc = np.array([inside.desc, outside.desc])
-        d = box_descriptor(box, pos, desc, 3.0)
+        (d,) = box_descriptor(box.corners[None], pos, desc, 3.0)
         assert np.allclose(d, inside.desc)
 
     def test_empty_box_zero_sentinel(self):
         box = QuadBox.from_detbox(DetBox(0, 0, 10, 10))
         feats = [_feat(0, [50, 50], [0, 1, 0])]
-        d = box_descriptor(box, np.array([feats[0].pos]), np.array([feats[0].desc]), 3.0)
+        (d,) = box_descriptor(
+            box.corners[None], np.array([feats[0].pos]), np.array([feats[0].desc]), 3.0
+        )
         assert np.array_equal(d, np.zeros(3))
         # Cosine similarity of the sentinel to anything is 0.
         assert d @ feats[0].desc == 0.0
+
+    def test_stacked_equals_per_box_pooling(self):
+        rng = np.random.default_rng(12)
+        corners = np.array([random_convex_quad(rng).corners for _ in range(25)])
+        pos = rng.uniform(0, 1000, (400, 2))
+        desc = rng.standard_normal((400, 8))
+        desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+        got = box_descriptor(corners, pos, desc, 3.0)
+        for q, row in zip(corners, got):
+            inside = contains_points(q, pos)
+            want = gem_pool(desc[inside], 3.0) if inside.any() else np.zeros(8)
+            assert np.array_equal(row, want)
+        assert box_descriptor(np.zeros((0, 4, 2)), pos, desc, 3.0).shape == (0, 8)
+
+
+class TestFeatureTable:
+    def test_rows_in_id_order(self):
+        rng = np.random.default_rng(1)
+        ids = rng.permutation(40) * 3 + 2
+        feats = [_feat(int(i), rng.uniform(0, 100, 2), rng.standard_normal(5)) for i in ids]
+        got_ids, pos, desc = feature_table(feats)
+        assert got_ids.tolist() == sorted(ids.tolist())
+        by_id = {f.id: f for f in feats}
+        for i, p, d in zip(got_ids.tolist(), pos, desc):
+            assert np.array_equal(p, by_id[i].pos) and np.array_equal(d, by_id[i].desc)
+
+    def test_empty_table_takes_dim(self):
+        ids, pos, desc = feature_table([], 7)
+        assert ids.shape == (0,) and pos.shape == (0, 2) and desc.shape == (0, 7)
+
+    def test_repeated_id_rejected(self):
+        feats = [_feat(3, [0, 0], [1.0, 0]), _feat(1, [1, 0], [0, 1.0]), _feat(3, [2, 0], [1.0, 1])]
+        with pytest.raises(ValueError, match="repeated feature id"):
+            feature_table(feats)
 
 
 class TestCandidates:
@@ -194,7 +237,7 @@ class TestGreedyMatch:
         scene = self._scene(seed=3)
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        groups = greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, MatchParams())
+        groups = greedy_match(b1, b2, *_tables(scene), MatchParams())
         found = {p for g in groups for p in g.pairs}
         true = set(scene.gt.box_pairs)
         assert len(found & true) / len(true) >= 0.9
@@ -205,7 +248,7 @@ class TestGreedyMatch:
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
         params = MatchParams()
-        groups = greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, params)
+        groups = greedy_match(b1, b2, *_tables(scene), params)
         seen1, seen2 = set(), set()
         for g in groups:
             assert g.support >= 2
@@ -225,7 +268,7 @@ class TestGreedyMatch:
         scene = self._scene(seed=11, distractors=2)
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        run = lambda: greedy_match(b1, b2, scene.img_a.features, scene.img_b.features, MatchParams())
+        run = lambda: greedy_match(b1, b2, *_tables(scene), MatchParams())
         ga, gb = run(), run()
         assert len(ga) == len(gb)
         for x, y in zip(ga, gb):
@@ -233,4 +276,4 @@ class TestGreedyMatch:
             assert np.array_equal(x.H.m, y.H.m)
 
     def test_empty_inputs(self):
-        assert greedy_match([], [], [], [], MatchParams()) == []
+        assert greedy_match([], [], feature_table([]), feature_table([]), MatchParams()) == []

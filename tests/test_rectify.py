@@ -103,6 +103,19 @@ class TestBuildRectifier:
             backproject_quad(DetBox(-100, 0, -50, 10), r)
         assert backproject_quad(DetBox(-90, 0, -50, 10), r).corners.shape == (4, 2)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="project_quads tests only |w|, not its sign: a box straddling the line "
+        "x = -100 that H^-1 sends to infinity comes back as the finite convex quad "
+        "(-100, 0), (300, -20), (300, 0), (-100, 20), which is not its image",
+    )
+    def test_backproject_straddling_box_rejected(self):
+        h_inv = np.array([[1.0, 0, 0], [0, 1, 0], [0.01, 0, 1]])
+        r = Rectifier(Homography(np.linalg.inv(h_inv)), np.zeros(3), np.zeros(3), 0)
+        with pytest.raises(BackprojectionError):
+            backproject_quad(DetBox(-150, 0, -50, 10), r)
+
     def test_backproject_round_trip(self):
         _, _, segs, vp_h, vp_v = _plane_setup()
         r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
