@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geom import (
-    DegenerateInputError,
     DetBox,
     QuadBox,
     _at_infinity,
@@ -23,38 +22,34 @@ from .geom import (
 from .vanishing import (
     HORIZONTAL,
     VERTICAL,
-    LineSegment,
+    SegmentTable,
     VanishingPoint,
     VpParams,
     _residual_matrix,
     best_by_orientation,
-    segment_arrays,
 )
-
-
-class AdjustmentError(DegenerateInputError):
-    """Box adjustment produced an invalid (infinite or non-convex) quad."""
 
 
 def vote_box_vps(
     boxes: list[DetBox],
-    segments: list[LineSegment],
+    segs: SegmentTable,
     vps: list[VanishingPoint],
     params: VpParams,
 ) -> list[tuple[VanishingPoint, VanishingPoint]]:
     """Pick, for every box of one image, the horizontal and vertical
     vanishing points supported by the segments around it.
 
-    A segment votes (with weight = its length) for the vanishing point that
-    minimizes its residual angle, provided that residual is within
-    params.angle_thresh.  Only segments whose midpoint falls inside the box
-    dilated by 50% of its extent take part.  With no local votes the
+    segs is the image's segment table.  A segment votes (with weight = its
+    length) for the vanishing point that minimizes its residual angle,
+    provided that residual is within params.angle_thresh.  Only segments
+    whose midpoint falls inside the box dilated by 50% of its extent take
+    part.  With no local votes the
     globally best-supported vanishing point of each orientation is used.
     Returns one (horizontal, vertical) pair per box.
     """
     h_global = best_by_orientation(vps, HORIZONTAL)
     v_global = best_by_orientation(vps, VERTICAL)
-    _, _, dirs, mids, lengths = segment_arrays(segments)
+    _, _, dirs, mids, lengths = segs
     res = _residual_matrix(np.array([vp.point for vp in vps]), dirs, mids)
     nearest = np.argmin(res, axis=0)
     voting = res.min(axis=0) <= params.angle_thresh
@@ -76,26 +71,20 @@ def vote_box_vps(
 
 
 def adjust_box(
-    box: DetBox | list[DetBox], vp_h: np.ndarray, vp_v: np.ndarray
-) -> QuadBox | list[QuadBox | None]:
+    boxes: list[DetBox], vp_h: np.ndarray, vp_v: np.ndarray
+) -> list[QuadBox | None]:
     """Adjust axis-aligned boxes into vanishing-point-aligned quads.
 
     Given N boxes and (N, 3) stacks of horizontal and vertical vanishing
     points, returns one quad per box, or None where the adjustment is
     degenerate: coincident vanishing points, a vanishing point on an edge
     midpoint, identical construction lines, a corner at infinity, or a quad
-    that is not strictly convex.  Given one box and (3,) vanishing points,
-    returns its quad or raises AdjustmentError.
+    that is not strictly convex.
     """
-    if isinstance(box, DetBox):
-        [quad] = adjust_box([box], np.reshape(vp_h, (1, 3)), np.reshape(vp_v, (1, 3)))
-        if quad is None:
-            raise AdjustmentError("degenerate box adjustment")
-        return quad
     vp_h = np.asarray(vp_h, dtype=float).reshape(-1, 3)
     vp_v = np.asarray(vp_v, dtype=float).reshape(-1, 3)
     xmin, ymin, xmax, ymax = np.array(
-        [(b.xmin, b.ymin, b.xmax, b.ymax) for b in box], dtype=float
+        [(b.xmin, b.ymin, b.xmax, b.ymax) for b in boxes], dtype=float
     ).reshape(-1, 4).T
     xc, yc = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
     # Edge midpoints (N, 4, 3): top, bottom, left, right.
@@ -110,4 +99,4 @@ def adjust_box(
     )
     corners = corners_h[..., :2] / np.where(failed[:, None, None], 1.0, corners_h[..., 2:])
     failed |= ~np.all(_edge_crosses(corners) > 0, axis=1)
-    return [None if f else QuadBox(c, b.score) for b, c, f in zip(box, corners, failed)]
+    return [None if f else QuadBox(c, b.score) for b, c, f in zip(boxes, corners, failed)]

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import io as formats
 from .guided import match_pair
-from .objmatch import MatchParams
+from .objmatch import DimensionMismatchError, MatchParams
 from .rectify import MODES, build_plane_rectifiers
 from .synth import (
     NoiseSpec,
@@ -25,7 +25,7 @@ from .synth import (
     slant_p,
     view_homography,
 )
-from .vanishing import VpParams, image_vps
+from .vanishing import VpParams, image_vps, segment_arrays
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -88,11 +88,6 @@ def _params_from_args(args) -> tuple[MatchParams, VpParams]:
 def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
     img1 = formats.read_image_dir(dir1, min_seg_len=args.min_seg_len)
     img2 = formats.read_image_dir(dir2, min_seg_len=args.min_seg_len)
-    d1 = len(img1.features[0].desc) if img1.features else 0
-    d2 = len(img2.features[0].desc) if img2.features else 0
-    if img1.features and img2.features and d1 != d2:
-        raise formats.DimensionMismatchError(f"descriptor dims differ: {d1} vs {d2}")
-
     ms, report = match_pair(img1, img2, *params, mode=args.mode)
     os.makedirs(out, exist_ok=True)
     formats.write_matches(os.path.join(out, "matches.txt"), ms)
@@ -133,8 +128,8 @@ def cmd_match(args) -> int:
 
 def cmd_vps(args) -> int:
     vp_params = _vp_params(args)
-    segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    vps = image_vps(segments, *_image_size(args), vp_params)
+    segs = segment_arrays(formats.read_segments(args.segments, min_len=args.min_seg_len))
+    vps = image_vps(segs, *_image_size(args), vp_params)
     if args.out:
         formats.write_vps(args.out, vps)
     for vp in vps:
@@ -145,8 +140,10 @@ def cmd_vps(args) -> int:
 
 def cmd_rectify(args) -> int:
     vp_params = _vp_params(args)
-    segments = formats.read_segments(args.segments, min_len=args.min_seg_len)
-    built, intervals = build_plane_rectifiers(segments, *_image_size(args), vp_params)
+    segs = segment_arrays(formats.read_segments(args.segments, min_len=args.min_seg_len))
+    width, height = _image_size(args)
+    vps = image_vps(segs, width, height, vp_params)
+    built, intervals = build_plane_rectifiers(segs, vps, width, height, vp_params)
     for facade_id, r in enumerate(built):
         if r is None:
             print(f"plane {facade_id}: degenerate rectifier, skipped", file=sys.stderr)
@@ -196,6 +193,8 @@ def _preset_scene(preset: str, seed: int) -> SceneSpec:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise InvalidParameterError("invalid parameter: seed must be >= 0")
     scene = generate(_preset_scene(args.preset, args.seed))
     formats.write_image_dir(os.path.join(args.out, "a"), scene.img_a)
     formats.write_image_dir(os.path.join(args.out, "b"), scene.img_b)
@@ -290,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except (formats.ParseError, FileNotFoundError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except formats.DimensionMismatchError as exc:
+    except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
 

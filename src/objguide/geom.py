@@ -51,10 +51,6 @@ def _at_infinity(ph: np.ndarray) -> np.ndarray:
     return np.abs(ph[..., 2]) < INFINITY_EPS * np.hypot(ph[..., 0], ph[..., 1])
 
 
-def is_infinite(p: np.ndarray) -> bool:
-    return bool(_at_infinity(np.asarray(p, dtype=float)))
-
-
 def same_up_to_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the rows of two stacks of 3-vectors (..., 3) that are equal up to scale."""
     a = np.asarray(a, dtype=float)
@@ -100,10 +96,6 @@ class LineSegment:
     @property
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.p + self.q)
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.q - self.p
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .geom import (
     quad_iou,
 )
 from .objmatch import (
+    DimensionMismatchError,
     Feature,
     FeatureTable,
     MatchParams,
@@ -48,10 +49,12 @@ from .vanishing import (
     HORIZONTAL,
     VERTICAL,
     MissingVanishingPointError,
+    SegmentTable,
     VanishingPoint,
     VpParams,
     best_by_orientation,
     image_vps,
+    segment_arrays,
 )
 
 
@@ -244,15 +247,18 @@ class ImageInputs:
     rect_boxes: list[tuple[int, DetBox]] = field(default_factory=list)
 
 
-def _detection_streams(img: ImageInputs, vps: list[VanishingPoint], vp_params: VpParams):
-    """Build the O / OA / R / RA quad streams for one image."""
+def _detection_streams(
+    img: ImageInputs, segs: SegmentTable, vps: list[VanishingPoint], vp_params: VpParams
+):
+    """Build the O / OA / R / RA quad streams for one image from its
+    segment table and vanishing points."""
     orthogonal = [QuadBox.from_detbox(b) for b in img.boxes]
 
     # A box stays orthogonal when the image lacks a vanishing point of either
     # orientation or when its adjusted quad is degenerate.
     adjusted = orthogonal
     with suppress(MissingVanishingPointError):
-        picks = vote_box_vps(img.boxes, img.segments, vps, vp_params)
+        picks = vote_box_vps(img.boxes, segs, vps, vp_params)
         quads = adjust_box(
             img.boxes,
             np.array([vp_h.point for vp_h, _ in picks]),
@@ -264,7 +270,7 @@ def _detection_streams(img: ImageInputs, vps: list[VanishingPoint], vp_params: V
     if img.rect_boxes:
         # Facades are numbered left to right by their column interval.
         rectifiers, _intervals = build_plane_rectifiers(
-            img.segments, img.width, img.height, vp_params, vps=vps
+            segs, vps, img.width, img.height, vp_params
         )
         for plane, box in img.rect_boxes:
             if not (0 <= plane < len(rectifiers)) or rectifiers[plane] is None:
@@ -287,20 +293,25 @@ def match_pair(
     """Run the full pipeline on one image pair.
 
     Returns the fused MatchSet plus a per-stage count report.  Deterministic
-    given vp_params.rng_seed.
+    given vp_params.rng_seed.  Raises DimensionMismatchError, before any
+    per-image work, when the two images' descriptors differ in length.
     """
     params = params or MatchParams()
     vp_params = vp_params or VpParams()
 
     # One feature table per image serves every matching stage.  A featureless
     # image takes the other's descriptor dimension: its boxes pool to zeros.
-    feats = img1.features or img2.features
-    dim = len(feats[0].desc) if feats else 0
+    dims = [len(img.features[0].desc) for img in (img1, img2) if img.features]
+    if len(set(dims)) > 1:
+        raise DimensionMismatchError(f"descriptor dims differ: {dims[0]} vs {dims[1]}")
+    dim = dims[0] if dims else 0
     report: dict = {"mode": mode}
     per_image = []
     for tag, img in (("1", img1), ("2", img2)):
-        vps = image_vps(img.segments, img.width, img.height, vp_params)
-        merged = merge_detections(*_detection_streams(img, vps, vp_params), mode)
+        # One segment table per image serves every vanishing-point stage.
+        segs = segment_arrays(img.segments)
+        vps = image_vps(segs, img.width, img.height, vp_params)
+        merged = merge_detections(*_detection_streams(img, segs, vps, vp_params), mode)
         per_image.append((vps, merged, feature_table(img.features, dim)))
         report[f"vps_{tag}"] = len(vps)
         report[f"boxes_{tag}"] = len(merged)

@@ -25,10 +25,6 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-class DimensionMismatchError(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 

@@ -30,6 +30,10 @@ class NoDescriptorError(ValueError):
     """GeM pooling was asked to pool an empty descriptor set."""
 
 
+class DimensionMismatchError(ValueError):
+    """Feature descriptors that are compared or stacked differ in length."""
+
+
 @dataclass(frozen=True)
 class Feature:
     """Local feature: keypoint position plus unit-norm descriptor."""
@@ -131,7 +135,8 @@ def feature_table(feats: list[Feature], dim: int = 0) -> FeatureTable:
 
     Rows are in ascending id order, so row order is id order for every
     tie-break downstream.  dim is the descriptor length of an empty table.
-    Raises ValueError on a repeated id.
+    Raises ValueError on a repeated id and DimensionMismatchError on
+    descriptors of different lengths.
     """
     if not feats:
         return np.zeros(0, dtype=int), np.zeros((0, 2)), np.zeros((0, dim))
@@ -139,6 +144,9 @@ def feature_table(feats: list[Feature], dim: int = 0) -> FeatureTable:
     ids = np.array([f.id for f in feats])
     if np.any(ids[1:] == ids[:-1]):
         raise ValueError("repeated feature id")
+    lengths = {len(f.desc) for f in feats}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"descriptor dims differ: {sorted(lengths)}")
     return ids, np.array([f.pos for f in feats]), np.array([f.desc for f in feats])
 
 

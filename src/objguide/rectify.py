@@ -16,7 +16,6 @@ from .geom import (
     DegenerateInputError,
     DetBox,
     Homography,
-    LineSegment,
     QuadBox,
     _at_infinity,
     bbox_overlaps,
@@ -27,12 +26,11 @@ from .geom import (
 from .vanishing import (
     HORIZONTAL,
     VERTICAL,
+    SegmentTable,
     VanishingPoint,
     VpParams,
     _residual_matrix,
     best_by_orientation,
-    image_vps,
-    segment_arrays,
 )
 
 
@@ -74,18 +72,19 @@ class ColumnInterval:
 def build_rectifier(
     vp_h: np.ndarray,
     vp_v: np.ndarray,
-    segments: list[LineSegment],
+    segs: SegmentTable,
     image_size: tuple[float, float],
     plane_id: int = 0,
 ) -> Rectifier:
     """Rectifying homography for the plane spanned by the two vanishing points.
 
     The anisotropic scale/translation is the closed-form per-axis least
-    squares fit minimizing the squared displacement of segment endpoints.
+    squares fit minimizing the squared displacement of the endpoints of the
+    segment table's rows.
     """
     vp_h = np.asarray(vp_h, dtype=float)
     vp_v = np.asarray(vp_v, dtype=float)
-    if not segments:
+    if not len(segs[0]):
         raise DegenerateInputError("no segments to fit the rectifier scale")
 
     width, height = image_size
@@ -122,7 +121,7 @@ def build_rectifier(
     b[:2, :2] = np.linalg.inv(basis)
 
     bp = b @ p
-    endpoints = np.array([e for s in segments for e in (s.p, s.q)])
+    endpoints = np.stack(segs[:2], axis=1).reshape(-1, 2)  # rows p0, q0, p1, q1, ...
     ph = np.column_stack([endpoints, np.ones(len(endpoints))]) @ bp.T
     good = ~_at_infinity(ph)
     if good.sum() < 2:
@@ -155,13 +154,13 @@ def build_rectifier(
 
 
 def segment_columns(
-    segments: list[LineSegment], horizontal_vps: list[VanishingPoint], width: int
+    segs: SegmentTable, horizontal_vps: list[VanishingPoint], width: int
 ) -> list[ColumnInterval]:
     """Partition image columns among the horizontal vanishing points.
 
-    Near-horizontal segments cast a softmax confidence vote over every
-    column they span; confidently labeled runs become intervals and
-    unlabeled gaps are split where the accumulated vote mass of the two
+    Near-horizontal segments of the table cast a softmax confidence vote
+    over every column they span; confidently labeled runs become intervals
+    and unlabeled gaps are split where the accumulated vote mass of the two
     neighboring labels balances best.
     """
     if not horizontal_vps:
@@ -173,7 +172,7 @@ def segment_columns(
     if k == 1:
         return [ColumnInterval(0, width, 0)]
 
-    p, q, dirs, mids, _ = segment_arrays(segments)
+    p, q, dirs, mids, _ = segs
     # Segments at most 45 degrees off horizontal vote over the columns they span.
     near = np.abs(dirs[:, 0]) >= np.abs(dirs[:, 1])
     res = _residual_matrix(np.array([vp.point for vp in horizontal_vps]), dirs[near], mids[near])
@@ -230,32 +229,31 @@ def segment_columns(
 
 
 def build_plane_rectifiers(
-    segments: list[LineSegment],
+    segs: SegmentTable,
+    vps: list[VanishingPoint],
     width: int,
     height: int,
     vp_params: VpParams,
-    vps: list[VanishingPoint] | None = None,
 ) -> tuple[list[Rectifier | None], list[ColumnInterval]]:
-    """Estimate vanishing points, segment columns, and build one rectifier
-    per facade (numbered left to right by column interval).
+    """Segment the columns of an image among its vanishing points (from
+    image_vps on the same segment table) and build one rectifier per facade
+    (numbered left to right by column interval).
 
     Entries are None where the rectifier is degenerate.  The matching
     pipeline, the rectify command and any simulation of detections in
     rectified frames all use this routine, so they agree on the rectified
     coordinate frames.
     """
-    if vps is None:
-        vps = image_vps(segments, width, height, vp_params)
     horizontal = [vp for vp in vps if vp.orientation == HORIZONTAL]
     try:
         vertical = best_by_orientation(vps, VERTICAL)
-        intervals = segment_columns(segments, horizontal, width)
+        intervals = segment_columns(segs, horizontal, width)
     except DegenerateInputError:
         return [], []
 
     # Fit each scale only on segments in the interval that agree with the
     # plane's vanishing geometry; off-plane clutter would skew the fit.
-    _, _, dirs, mids, _ = segment_arrays(segments)
+    _, _, dirs, mids, _ = segs
     agree = _residual_matrix(
         np.array([vp.point for vp in horizontal + [vertical]]), dirs, mids
     ) <= vp_params.angle_thresh
@@ -267,7 +265,7 @@ def build_plane_rectifiers(
             & (interval.lo <= mids[:, 0])
             & (mids[:, 0] < interval.hi)
         )
-        plane_segs = [segments[i] for i in np.flatnonzero(on_plane)]
+        plane_segs = tuple(col[on_plane] for col in segs)
         try:
             rectifiers.append(
                 build_rectifier(

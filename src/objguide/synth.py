@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import DetBox, Homography, LineSegment, QuadBox, is_infinite, normalize_h
+from .geom import DetBox, Homography, LineSegment, QuadBox, _at_infinity, normalize_h
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature
 from .rectify import build_plane_rectifiers
-from .vanishing import VpParams
+from .vanishing import VpParams, image_vps, segment_arrays
 
 
 def view_homography(
@@ -284,8 +284,10 @@ def generate(spec: SceneSpec) -> Scene:
             (segs_a, [pa for pa, _ in window_proj], rect_a),
             (segs_b, [pb for _, pb in window_proj], rect_b),
         ):
+            table = segment_arrays(segs)
+            vps = image_vps(table, spec.width, spec.height, VpParams())
             rectifiers, intervals = build_plane_rectifiers(
-                segs, spec.width, spec.height, VpParams()
+                table, vps, spec.width, spec.height, VpParams()
             )
             for p in projs:
                 cx = float(p[:, 0].mean())
@@ -365,7 +367,7 @@ def pencil_segments(
     vp = np.asarray(vp, dtype=float)
     x0, y0, x1, y1 = region
     out = []
-    infinite = is_infinite(vp)
+    infinite = bool(_at_infinity(vp))
     for _ in range(n):
         mid = rng.uniform([x0, y0], [x1, y1])
         d = vp[:2] if infinite else vp[:2] / vp[2] - mid

@@ -25,7 +25,6 @@ from .geom import (
     LineSegment,
     _at_infinity,
     _hartley_transform,
-    is_infinite,
     join,
     normalize_h,
 )
@@ -52,6 +51,8 @@ class VpParams:
     def __post_init__(self):
         if not self.angle_thresh > 0.0:  # also rejects nan
             raise ValueError("angle_thresh must be positive")
+        if not self.rng_seed >= 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,12 @@ class VanishingPoint:
         return len(self.inlier_ids)
 
 
-def segment_arrays(segments: list[LineSegment]) -> tuple[np.ndarray, ...]:
-    """Endpoints p, q, directions q - p, midpoints (each (m, 2)) and lengths (m,)."""
+SegmentTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def segment_arrays(segments: list[LineSegment]) -> SegmentTable:
+    """One image's segment table: endpoints p, q, directions q - p,
+    midpoints (each (m, 2)) and lengths (m,), rows in list order."""
     p = np.array([s.p for s in segments]).reshape(-1, 2)
     q = np.array([s.q for s in segments]).reshape(-1, 2)
     return p, q, q - p, 0.5 * (p + q), np.array([s.length for s in segments], dtype=float)
@@ -152,15 +157,6 @@ def _first_draws(keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.sort(order[head])
 
 
-def residual_angle(s: LineSegment, v: np.ndarray) -> float:
-    """Residual angle in degrees of one segment against one vanishing point
-    (a one-row view of _residual_matrix)."""
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) < 1e-300:
-        raise DegenerateInputError("zero vanishing point")
-    return float(_residual_matrix(v[None, :], s.direction[None, :], s.midpoint[None, :])[0, 0])
-
-
 def _refine(p: np.ndarray, q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Null-space refinement: the point minimizing length-weighted incidence
     residuals of the inlier supporting lines.
@@ -178,16 +174,16 @@ def _refine(p: np.ndarray, q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return normalize_h(np.linalg.inv(t) @ vt[-1])
 
 
-def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[VanishingPoint]:
-    """Sequential RANSAC extraction of vanishing points.
+def estimate_vps(segs: SegmentTable, params: VpParams) -> list[VanishingPoint]:
+    """Sequential RANSAC extraction of vanishing points from a segment table.
 
     Deterministic given params.rng_seed; sampling is biased toward longer
     segments.  Returns vanishing points sorted by decreasing support.
     """
-    n = len(segments)
+    p_arr, q_arr, dirs, mids, lengths = segs
+    n = len(lengths)
     if n < 2:
         return []
-    p_arr, q_arr, dirs, mids, lengths = segment_arrays(segments)
     ones = np.ones((n, 1))
     lines, coincident = join(np.hstack([p_arr, ones]), np.hstack([q_arr, ones]))
     if coincident.any():
@@ -233,7 +229,7 @@ def estimate_vps(segments: list[LineSegment], params: VpParams) -> list[Vanishin
 
 
 def classify(
-    vps: list[VanishingPoint], center: np.ndarray | tuple[float, float] = (0.0, 0.0)
+    vps: list[VanishingPoint], center: np.ndarray | tuple[float, float]
 ) -> list[VanishingPoint]:
     """Assign vertical/horizontal orientations.
 
@@ -246,7 +242,7 @@ def classify(
     vertical_flags = []
     for vp in vps:
         v = vp.point
-        if is_infinite(v):
+        if _at_infinity(v):
             d = v[:2]
         else:
             d = v[:2] / v[2] - center
@@ -270,10 +266,11 @@ def classify(
 
 
 def image_vps(
-    segments: list[LineSegment], width: float, height: float, params: VpParams
+    segs: SegmentTable, width: float, height: float, params: VpParams
 ) -> list[VanishingPoint]:
-    """Vanishing points of one image, oriented about the image center."""
-    return classify(estimate_vps(segments, params), center=(width / 2.0, height / 2.0))
+    """Vanishing points of one image's segment table, oriented about the
+    image center."""
+    return classify(estimate_vps(segs, params), center=(width / 2.0, height / 2.0))
 
 
 def best_by_orientation(vps: list[VanishingPoint], orientation: str) -> VanishingPoint:

@@ -63,9 +63,11 @@ from objguide.vanishing import (
     VERTICAL,
     VanishingPoint,
     VpParams,
+    _residual_matrix,
     classify,
     estimate_vps,
-    residual_angle,
+    image_vps,
+    segment_arrays,
 )
 
 
@@ -140,15 +142,19 @@ def test_criterion_2_vp_recovery():
             outliers.append(LineSegment(mid - d, mid + d))
         t0 = time.perf_counter()
         vps = classify(
-            estimate_vps(segs_h + segs_v + outliers, VpParams(rng_seed=seed, angle_thresh=1.0)),
+            estimate_vps(
+                segment_arrays(segs_h + segs_v + outliers),
+                VpParams(rng_seed=seed, angle_thresh=1.0),
+            ),
             center=(640, 480),
         )
         worst_t = max(worst_t, time.perf_counter() - t0)
         for true_segs, orientation in ((segs_h, HORIZONTAL), (segs_v, VERTICAL)):
-            best = min(
-                vps, key=lambda vp: max(residual_angle(s, vp.point) for s in true_segs)
-            )
-            res = max(residual_angle(s, best.point) for s in true_segs)
+            _, _, dirs, mids, _ = segment_arrays(true_segs)
+            worst = _residual_matrix(np.array([vp.point for vp in vps]), dirs, mids).max(axis=1)
+            k = int(np.argmin(worst))  # the first of equal minima
+            best = vps[k]
+            res = float(worst[k])
             worst_res = max(worst_res, res)
             assert res <= 0.5
             assert best.orientation == orientation
@@ -174,13 +180,13 @@ def test_criterion_3_box_adjustment():
         for world in _window_world_corners(plane):
             true = _project(h, world)
             lo, hi = true.min(axis=0), true.max(axis=0)
-            q = adjust_box(DetBox(lo[0], lo[1], hi[0], hi[1]), vp_h, vp_v)
+            [q] = adjust_box([DetBox(lo[0], lo[1], hi[0], hi[1])], vp_h, vp_v)
             scene_err = max(scene_err, float(np.abs(q.corners - true).max()))
         errs.append(scene_err)
     assert np.median(errs) < 2.0
 
     box = DetBox(100, 200, 160, 290, 0.7)
-    q = adjust_box(box, np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+    [q] = adjust_box([box], np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
     assert np.array_equal(q.corners, box.corners)
     _passed(3, f"(median error {np.median(errs):.3f} px)")
 
@@ -205,7 +211,9 @@ def test_criterion_4_rectifier_contract():
                     LineSegment(s.p + rng.normal(0, 1, 2), s.q + rng.normal(0, 1, 2))
                     for s in segs
                 ]
-            rectifiers, _ = build_plane_rectifiers(segs, 1280, 960, VpParams())
+            table = segment_arrays(segs)
+            vps = image_vps(table, 1280, 960, VpParams())
+            rectifiers, _ = build_plane_rectifiers(table, vps, 1280, 960, VpParams())
             r = rectifiers[0]
             assert r is not None
             for vp in (r.vp_h, r.vp_v):
@@ -243,7 +251,7 @@ def test_criterion_5_plane_segmentation():
             VanishingPoint(normalize_h(vp_l), tuple(range(60)), HORIZONTAL),
             VanishingPoint(normalize_h(vp_r), tuple(range(60, 120)), HORIZONTAL),
         ]
-        out = segment_columns(segs, vps, 1000)
+        out = segment_columns(segment_arrays(segs), vps, 1000)
         assert [iv.plane_id for iv in out] == [0, 1]
         assert out[0].lo == 0 and out[-1].hi == 1000
         assert g0 <= out[0].hi <= g0 + 40

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from objguide.boxes import AdjustmentError, adjust_box, vote_box_vps
+from objguide.boxes import adjust_box, vote_box_vps
 from objguide.cli import _preset_scene
 from objguide.geom import DegenerateInputError, DetBox, LineSegment, QuadBox
 from objguide.synth import (
@@ -18,11 +18,12 @@ from objguide.vanishing import (
     VERTICAL,
     VanishingPoint,
     VpParams,
+    _residual_matrix,
     best_by_orientation,
     classify,
     estimate_vps,
     image_vps,
-    residual_angle,
+    segment_arrays,
 )
 
 VP_X_INF = np.array([1.0, 0.0, 0.0])
@@ -33,7 +34,7 @@ class TestAdjustBox:
     def test_fronto_parallel_fixed_point(self):
         # With both vanishing points at axis infinity the box maps to itself.
         box = DetBox(100, 200, 160, 290, 0.8)
-        q = adjust_box(box, VP_X_INF, VP_Y_INF)
+        [q] = adjust_box([box], VP_X_INF, VP_Y_INF)
         assert np.array_equal(q.corners, box.corners)
         assert q.score == 0.8
 
@@ -45,20 +46,18 @@ class TestAdjustBox:
         for world in _window_world_corners(plane):
             true = _project(h, world)
             lo, hi = true.min(axis=0), true.max(axis=0)
-            q = adjust_box(DetBox(lo[0], lo[1], hi[0], hi[1]), vp_h, vp_v)
+            [q] = adjust_box([DetBox(lo[0], lo[1], hi[0], hi[1])], vp_h, vp_v)
             # The hull midpoints constrain the quad close to the projection.
             assert np.abs(q.corners - true).max() < 2.5
 
     def test_coincident_vps_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            adjust_box(DetBox(0, 0, 10, 10), VP_X_INF, 2.0 * VP_X_INF)
+        assert adjust_box([DetBox(0, 0, 10, 10)], VP_X_INF, 2.0 * VP_X_INF) == [None]
 
     def test_vp_on_edge_line_degenerate(self):
         # Horizontal VP collinear with the top midpoint and on the vertical
         # midline makes two construction lines coincide.
         box = DetBox(0, 0, 10, 10)
-        with pytest.raises(AdjustmentError):
-            adjust_box(box, np.array([5.0, 5.0, 1.0]), VP_Y_INF)
+        assert adjust_box([box], np.array([5.0, 5.0, 1.0]), VP_Y_INF) == [None]
 
     def test_convexity_preserved_under_moderate_slant(self):
         rng = np.random.default_rng(17)
@@ -68,7 +67,7 @@ class TestAdjustBox:
             vp_h = h @ [1, 0, 0]
             vp_v = h @ [0, 1, 0]
             x0, y0 = rng.uniform(250, 500, 2)
-            q = adjust_box(DetBox(x0, y0, x0 + 60, y0 + 80), vp_h, vp_v)
+            [q] = adjust_box([DetBox(x0, y0, x0 + 60, y0 + 80)], vp_h, vp_v)
             assert isinstance(q, QuadBox)
 
 
@@ -93,7 +92,7 @@ class TestVoteBoxVps:
             d = np.array([2000.0, 300.0]) - mid
             d = 30 * d / np.linalg.norm(d)
             segs.append(LineSegment(mid - d / 2, mid + d / 2))
-        [(vp_h, vp_v)] = vote_box_vps([box], segs, vps, VpParams())
+        [(vp_h, vp_v)] = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
         assert vp_h is vps[1]
         assert vp_v is vps[2]
 
@@ -101,7 +100,7 @@ class TestVoteBoxVps:
         vps = self._vps()
         box = DetBox(10, 10, 60, 60)
         far = [LineSegment((900, 900), (960, 900))]
-        [(vp_h, vp_v)] = vote_box_vps([box], far, vps, VpParams())
+        [(vp_h, vp_v)] = vote_box_vps([box], segment_arrays(far), vps, VpParams())
         assert vp_h is vps[0]  # best-supported horizontal
         assert vp_v is vps[2]
 
@@ -116,7 +115,7 @@ class TestVoteBoxVps:
         for off in (-20.0, 20.0):
             m = mid + [0, off]
             segs.append(LineSegment(m - [15, 0], m + [15, 0]))
-        [(vp_h, _)] = vote_box_vps([box], segs, vps, VpParams())
+        [(vp_h, _)] = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
         assert vp_h is vps[1]
 
     def test_equal_votes_keep_first(self):
@@ -130,8 +129,9 @@ class TestVoteBoxVps:
         segs = [LineSegment((515, 430), (545, 430)), LineSegment((538, 441), (562, 459))]
         assert [s.length for s in segs] == [30.0, 30.0]
         box = DetBox(500, 400, 600, 500)
-        assert vote_box_vps([box], segs, vps, VpParams())[0][0] is vps[0]
-        assert vote_box_vps([box], segs, vps[1::-1] + vps[2:], VpParams())[0][0] is vps[1]
+        table = segment_arrays(segs)
+        assert vote_box_vps([box], table, vps, VpParams())[0][0] is vps[0]
+        assert vote_box_vps([box], table, vps[1::-1] + vps[2:], VpParams())[0][0] is vps[1]
 
 
 def _reference_vote(box, segments, vps, params):
@@ -139,11 +139,12 @@ def _reference_vote(box, segments, vps, params):
     cx, cy = box.center
     hw, hh = 0.75 * box.width, 0.75 * box.height
     votes = np.zeros(len(vps))
+    points = np.array([vp.point for vp in vps])
     for s in segments:
         mx, my = s.midpoint
         if not (abs(mx - cx) <= hw and abs(my - cy) <= hh):
             continue
-        res = [residual_angle(s, vp.point) for vp in vps]
+        res = _residual_matrix(points, (s.q - s.p)[None], s.midpoint[None])[:, 0]
         k = int(np.argmin(res))
         if res[k] <= params.angle_thresh:
             votes[k] += s.length
@@ -166,8 +167,9 @@ class TestVoteBoxVpsReference:
         for seed in (0, 1):
             scene = generate(_preset_scene(preset, seed))
             for img in (scene.img_a, scene.img_b):
-                vps = image_vps(img.segments, img.width, img.height, params)
-                got = vote_box_vps(img.boxes, img.segments, vps, params)
+                table = segment_arrays(img.segments)
+                vps = image_vps(table, img.width, img.height, params)
+                got = vote_box_vps(img.boxes, table, vps, params)
                 assert len(got) == len(img.boxes)
                 for box, (vp_h, vp_v) in zip(img.boxes, got):
                     ref_h, ref_v = _reference_vote(box, img.segments, vps, params)
@@ -185,13 +187,14 @@ class TestVoteBoxVpsReference:
         segs = []
         for vp in ([2000.0, 300, 1], [-900.0, 400, 1], [0.0, 1, 0], [600.0, 20000, 1]):
             segs += pencil_segments(np.array(vp), 40, rng, noise_deg=3.0)
-        vps = image_vps(segs, 1280, 960, params)
+        table = segment_arrays(segs)
+        vps = image_vps(table, 1280, 960, params)
         boxes = []
         for _ in range(300):
             x, y = rng.uniform(0, 1200, 2)
             w, h = rng.uniform(5, 300, 2)
             boxes.append(DetBox(x, y, x + w, y + h))
-        got = vote_box_vps(boxes, segs, vps, params)
+        got = vote_box_vps(boxes, table, vps, params)
         picks = set()
         for box, (vp_h, vp_v) in zip(boxes, got):
             ref_h, ref_v = _reference_vote(box, segs, vps, params)
@@ -255,8 +258,9 @@ class TestAdjustBoxReference:
         for seed in (0, 1):
             scene = generate(_preset_scene(preset, seed))
             for img in (scene.img_a, scene.img_b):
-                vps = image_vps(img.segments, img.width, img.height, params)
-                picks = vote_box_vps(img.boxes, img.segments, vps, params)
+                table = segment_arrays(img.segments)
+                vps = image_vps(table, img.width, img.height, params)
+                picks = vote_box_vps(img.boxes, table, vps, params)
                 vp_h = np.array([h.point for h, _ in picks])
                 vp_v = np.array([v.point for _, v in picks])
                 _assert_adjust_equals_reference(img.boxes, vp_h, vp_v)
@@ -306,10 +310,9 @@ class TestAdjustBoxReference:
         box = DetBox(100, 200, 160, 290, 0.8)
         vp_h, vp_v = np.array([3000.0, 260.0, 1.0]), np.array([140.0, -9000.0, 1.0])
         [quad] = adjust_box([box], vp_h[None], vp_v[None])
-        assert np.array_equal(adjust_box(box, vp_h, vp_v).corners, quad.corners)
+        assert np.array_equal(adjust_box([box], vp_h, vp_v)[0].corners, quad.corners)
         assert adjust_box([box], vp_h[None], vp_h[None]) == [None]
-        with pytest.raises(AdjustmentError):
-            adjust_box(box, vp_h, vp_h)
+        assert adjust_box([box], vp_h, vp_h) == [None]
         assert adjust_box([], np.empty((0, 3)), np.empty((0, 3))) == []
 
 
@@ -322,7 +325,8 @@ class TestAdjustmentPipeline:
 
         rng = np.random.default_rng(0)
         segs = _plane_segments(plane, h, rng, 0.0)
-        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
+        table = segment_arrays(segs)
+        vps = classify(estimate_vps(table, VpParams()), center=(640, 480))
         trues, boxes = [], []
         for world in _window_world_corners(plane):
             true = _project(h, world)
@@ -330,7 +334,7 @@ class TestAdjustmentPipeline:
             trues.append(true)
             boxes.append(DetBox(lo[0], lo[1], hi[0], hi[1]))
         errs = []
-        for box, true, (vp_h, vp_v) in zip(boxes, trues, vote_box_vps(boxes, segs, vps, VpParams())):
-            q = adjust_box(box, vp_h.point, vp_v.point)
+        for box, true, (vp_h, vp_v) in zip(boxes, trues, vote_box_vps(boxes, table, vps, VpParams())):
+            [q] = adjust_box([box], vp_h.point, vp_v.point)
             errs.append(np.abs(q.corners - true).max())
         assert np.median(errs) < 2.0

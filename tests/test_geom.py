@@ -9,9 +9,9 @@ from objguide.geom import (
     Homography,
     LineSegment,
     QuadBox,
+    _at_infinity,
     canonical_quad_order,
     dlt_homography,
-    is_infinite,
     join,
     normalize_h,
     points_in_quads,
@@ -106,7 +106,7 @@ class TestIntersect:
         p, identical = join(np.array([0.0, 1, 0]), np.array([0.0, 1, -1]))
         assert not identical
         assert same_up_to_scale(p, [1, 0, 0])
-        assert is_infinite(p)
+        assert _at_infinity(p)
 
     def test_crossing_diagonals(self):
         a = line_through(hom(0, 0), hom(1, 1))

@@ -15,7 +15,14 @@ from objguide.guided import (
     refine_homography,
     support_region,
 )
-from objguide.objmatch import Feature, MatchParams, ObjectGroup, feature_table
+from objguide import guided
+from objguide.objmatch import (
+    DimensionMismatchError,
+    Feature,
+    MatchParams,
+    ObjectGroup,
+    feature_table,
+)
 from objguide.synth import (
     NoiseSpec,
     PlaneSpec,
@@ -27,6 +34,7 @@ from objguide.synth import (
     slant_p,
     view_homography,
 )
+from objguide.vanishing import segment_arrays
 
 
 def _unit(v):
@@ -430,6 +438,36 @@ class TestMatchPair:
         feats = [replace(f, id=f.id % 10) for f in scene.img_a.features]
         with pytest.raises(ValueError, match="repeated feature id"):
             match_pair(replace(scene.img_a, features=feats), scene.img_b)
+
+    def test_descriptor_lengths_differ_between_images(self, monkeypatch):
+        # Rejected before either image's vanishing points are estimated.
+        scene = generate(_preset_scene("single", 0))
+        shorter = [replace(f, desc=_unit(f.desc[:64])) for f in scene.img_b.features]
+        calls, image_vps = [], guided.image_vps
+        monkeypatch.setattr(guided, "image_vps", lambda *a: calls.append(a) or image_vps(*a))
+        with pytest.raises(DimensionMismatchError, match="128 vs 64"):
+            match_pair(scene.img_a, replace(scene.img_b, features=shorter))
+        assert calls == []
+
+    def test_descriptor_lengths_differ_within_an_image(self):
+        scene = generate(_preset_scene("single", 0))
+        feats = list(scene.img_a.features)
+        feats[3] = replace(feats[3], desc=_unit(feats[3].desc[:64]))
+        with pytest.raises(DimensionMismatchError):
+            match_pair(replace(scene.img_a, features=feats), scene.img_b)
+
+    def test_one_segment_table_per_image(self, monkeypatch):
+        scene = generate(_preset_scene("two-facade", 0))
+        tables = []
+
+        def counted(segments):
+            tables.append(len(segments))
+            return segment_arrays(segments)
+
+        monkeypatch.setattr(guided, "segment_arrays", counted)
+        ms, report = match_pair(scene.img_a, scene.img_b, mode="(O+R)A")
+        assert tables == [len(scene.img_a.segments), len(scene.img_b.segments)]
+        assert report["groups"] >= 1
 
     def test_one_featureless_image(self):
         # Boxes still group by geometry alone; with no features on one side

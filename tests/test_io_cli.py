@@ -10,7 +10,7 @@ from objguide.guided import Match, MatchSet
 from objguide.objmatch import Feature, ObjectGroup
 from objguide.rectify import ColumnInterval, Rectifier, build_plane_rectifiers
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
-from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams
+from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams, image_vps, segment_arrays
 
 
 def _unit(v):
@@ -308,7 +308,9 @@ class TestCli:
                    "--width", "1280", "--height", "960", "--out", out])
         assert rc == 0
         segments = formats.read_segments(f"{scene}/a/segments.txt", min_len=20.0)
-        built, intervals = build_plane_rectifiers(segments, 1280, 960, VpParams())
+        table = segment_arrays(segments)
+        vps = image_vps(table, 1280, 960, VpParams())
+        built, intervals = build_plane_rectifiers(table, vps, 1280, 960, VpParams())
         assert intervals
         expected = [r for r in built if r is not None]
         formats.write_rectifiers(str(tmp_path / "rectifiers.txt"), expected)
@@ -477,6 +479,27 @@ class TestCli:
         assert rc == EXIT_PARSE
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}:3: non-finite")
+
+    @pytest.mark.parametrize("command", ["match", "synth", "vps", "rectify"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # numpy's generator takes no negative seed; the flag is refused first.
+        scene = _write_scene(tmp_path)
+        out = str(tmp_path / "out")
+        size = ["--segments", f"{scene}/a/segments.txt", "--width", "1280", "--height", "960"]
+        args = {
+            "match": ["--dir1", f"{scene}/a", "--dir2", f"{scene}/b"],
+            "synth": [],
+            "vps": size,
+            "rectify": size,
+        }[command]
+        capsys.readouterr()
+        rc = main([command, *args, "--out", out, "--seed=-1"])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid parameter: ")
+        assert "seed must be >= 0" in captured.err
+        assert not os.path.exists(out)
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["match", "--dir1", str(tmp_path / "nope1"), "--dir2", str(tmp_path / "nope2"),

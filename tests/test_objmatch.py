@@ -3,6 +3,7 @@ import pytest
 
 from objguide.geom import DetBox, Homography, QuadBox, quad_iou
 from objguide.objmatch import (
+    DimensionMismatchError,
     Feature,
     MatchParams,
     NoDescriptorError,
@@ -161,6 +162,13 @@ class TestFeatureTable:
         feats = [_feat(3, [0, 0], [1.0, 0]), _feat(1, [1, 0], [0, 1.0]), _feat(3, [2, 0], [1.0, 1])]
         with pytest.raises(ValueError, match="repeated feature id"):
             feature_table(feats)
+
+    def test_mixed_descriptor_lengths_rejected(self):
+        # One 2-d feature among 3-d ones cannot stack into one descriptor array.
+        feats = [_feat(0, [0, 0], [1.0, 0, 0]), _feat(1, [1, 0], [0, 1.0]), _feat(2, [2, 0], [0, 0, 1.0])]
+        with pytest.raises(DimensionMismatchError, match="descriptor dims differ"):
+            feature_table(feats)
+        assert issubclass(DimensionMismatchError, ValueError)
 
 
 class TestCandidates:

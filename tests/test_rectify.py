@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from objguide.cli import _preset_scene
 from objguide.geom import (
     DegenerateInputError,
     DetBox,
@@ -16,6 +17,7 @@ from objguide.rectify import (
     Rectifier,
     RectifierDegenerateError,
     backproject_quad,
+    build_plane_rectifiers,
     build_rectifier,
     merge_detections,
     segment_columns,
@@ -23,11 +25,21 @@ from objguide.rectify import (
 from objguide.synth import (
     PlaneSpec,
     _plane_segments,
+    generate,
     pencil_segments,
     slant_p,
     view_homography,
 )
-from objguide.vanishing import HORIZONTAL, VanishingPoint
+from objguide.vanishing import (
+    HORIZONTAL,
+    VERTICAL,
+    VanishingPoint,
+    VpParams,
+    _residual_matrix,
+    best_by_orientation,
+    image_vps,
+    segment_arrays,
+)
 
 
 def _plane_setup(slant=20.0, tx=380.0, ty=240.0, seg_noise=0.0, seed=0):
@@ -43,14 +55,14 @@ def _plane_setup(slant=20.0, tx=380.0, ty=240.0, seg_noise=0.0, seed=0):
 class TestBuildRectifier:
     def test_vps_sent_to_infinity(self):
         _, _, segs, vp_h, vp_v = _plane_setup()
-        r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
+        r = build_rectifier(vp_h, vp_v, segment_arrays(segs), (1280, 960))
         for vp in (vp_h, vp_v):
             mapped = normalize_h(r.H.m @ vp)
             assert abs(mapped[2]) < 1e-9
 
     def test_axis_alignment(self):
         _, _, segs, vp_h, vp_v = _plane_setup()
-        r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
+        r = build_rectifier(vp_h, vp_v, segment_arrays(segs), (1280, 960))
         mh = normalize_h(r.H.m @ vp_h)
         mv = normalize_h(r.H.m @ vp_v)
         assert abs(mh[1]) < 1e-9 and mh[0] != 0  # +-x direction
@@ -58,7 +70,7 @@ class TestBuildRectifier:
 
     def test_rectified_segments_axis_aligned(self):
         _, _, segs, vp_h, vp_v = _plane_setup()
-        r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
+        r = build_rectifier(vp_h, vp_v, segment_arrays(segs), (1280, 960))
         for s in segs:
             p, q = r.H.map_points(np.vstack([s.p, s.q]))
             d = q - p
@@ -68,13 +80,13 @@ class TestBuildRectifier:
         h = view_homography(scale=1.0, tx=300, ty=200)
         plane = PlaneSpec(h_a=h, h_b=h)
         segs = _plane_segments(plane, h, np.random.default_rng(0), 0.0)
-        r = build_rectifier([1, 0, 0], [0, 1, 0], segs, (1280, 960))
+        r = build_rectifier([1, 0, 0], [0, 1, 0], segment_arrays(segs), (1280, 960))
         pts = np.array([s.p for s in segs])
         assert np.abs(r.H.map_points(pts) - pts).max() < 1e-9
 
     def test_scale_fit_keeps_endpoints_close(self):
         _, _, segs, vp_h, vp_v = _plane_setup(slant=25.0)
-        r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
+        r = build_rectifier(vp_h, vp_v, segment_arrays(segs), (1280, 960))
         pts = np.array([e for s in segs for e in (s.p, s.q)])
         disp = np.linalg.norm(r.H.map_points(pts) - pts, axis=1)
         # Without the fitted scale/translation the drift would be huge.
@@ -82,16 +94,16 @@ class TestBuildRectifier:
 
     def test_no_segments_rejected(self):
         with pytest.raises(DegenerateInputError):
-            build_rectifier([1, 0, 0], [0, 1, 0], [], (1280, 960))
+            build_rectifier([1, 0, 0], [0, 1, 0], segment_arrays([]), (1280, 960))
 
     def test_vanishing_line_through_center_degenerate(self):
         # Both VPs finite on a line through the image center.
-        segs = [LineSegment((0, 0), (30, 0))]
+        segs = segment_arrays([LineSegment((0, 0), (30, 0))])
         with pytest.raises(RectifierDegenerateError):
             build_rectifier([340.0, 240.0, 1.0], [940.0, 720.0, 1.0], segs, (1280, 960))
 
     def test_coincident_vps_rejected(self):
-        segs = [LineSegment((0, 0), (30, 0))]
+        segs = segment_arrays([LineSegment((0, 0), (30, 0))])
         with pytest.raises(DegenerateInputError, match="coincident"):
             build_rectifier([3000.0, 240.0, 1.0], [-6000.0, -480.0, -2.0], segs, (1280, 960))
 
@@ -118,7 +130,7 @@ class TestBuildRectifier:
 
     def test_backproject_round_trip(self):
         _, _, segs, vp_h, vp_v = _plane_setup()
-        r = build_rectifier(vp_h, vp_v, segs, (1280, 960))
+        r = build_rectifier(vp_h, vp_v, segment_arrays(segs), (1280, 960))
         q = QuadBox.from_detbox(DetBox(400, 300, 520, 430, 0.9))
         rect = r.H.map_points(q.corners)
         lo, hi = rect.min(axis=0), rect.max(axis=0)
@@ -130,13 +142,91 @@ class TestBuildRectifier:
         assert np.abs(hull_hi - hi).max() < 1e-6
 
 
+def _list_fit(vp_h, vp_v, segments, image_size):
+    """The rectifier fit on a LineSegment list, endpoints stacked segment by
+    segment (p0, q0, p1, q1, ...) in a Python loop."""
+    vp_h, vp_v = np.asarray(vp_h, dtype=float), np.asarray(vp_v, dtype=float)
+    width, height = image_size
+    center = np.array([width / 2.0, height / 2.0, 1.0])
+    l = np.cross(vp_h, vp_v)
+    l = l / np.linalg.norm(l)
+    l = l / float(l @ center)
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], l])
+
+    def image_direction(vp):
+        d = (p @ vp)[:2]
+        return d / np.linalg.norm(d)
+
+    d_h, d_v = image_direction(vp_h), image_direction(vp_v)
+    if d_h[0] < 0 or (d_h[0] == 0 and d_h[1] < 0):
+        d_h = -d_h
+    if d_v[1] < 0 or (d_v[1] == 0 and d_v[0] < 0):
+        d_v = -d_v
+    b = np.eye(3)
+    b[:2, :2] = np.linalg.inv(np.column_stack([d_h, d_v]))
+    endpoints = np.array([e for s in segments for e in (s.p, s.q)])
+    ph = np.column_stack([endpoints, np.ones(len(endpoints))]) @ (b @ p).T
+    good = np.abs(ph[:, 2]) >= 1e-9 * np.hypot(ph[:, 0], ph[:, 1])
+    mapped, orig = ph[good, :2] / ph[good, 2:], endpoints[good]
+    s_mat = np.eye(3)
+    for axis in range(2):
+        u, v = mapped[:, axis], orig[:, axis]
+        var = float(np.var(u))
+        if var < 1e-12:
+            scale, shift = 1.0, float(np.mean(v) - np.mean(u))
+        else:
+            scale = float(np.cov(u, v, bias=True)[0, 1] / var) or 1.0
+            if scale < 0.0:
+                scale, u = -scale, -u
+                b[axis, :] = -b[axis, :]
+            shift = float(np.mean(v) - scale * np.mean(u))
+        s_mat[axis, axis], s_mat[axis, 2] = scale, shift
+    return Homography(s_mat @ b @ p)
+
+
+class TestTableRowsFit:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_bytes_as_list_fit(self, seed):
+        # Every facade rectifier fitted on table rows equals the list fit on
+        # the same on-plane segments, byte for byte.
+        params = VpParams()
+        scene = generate(_preset_scene("two-facade", seed))
+        fitted = 0
+        for img in (scene.img_a, scene.img_b):
+            table = segment_arrays(img.segments)
+            vps = image_vps(table, img.width, img.height, params)
+            built, intervals = build_plane_rectifiers(table, vps, img.width, img.height, params)
+            horizontal = [vp for vp in vps if vp.orientation == HORIZONTAL]
+            vertical = best_by_orientation(vps, VERTICAL)
+            _, _, dirs, mids, _ = table
+            points = np.array([vp.point for vp in horizontal + [vertical]])
+            agree = _residual_matrix(points, dirs, mids) <= params.angle_thresh
+            for r, iv in zip(built, intervals):
+                on_plane = (
+                    (agree[iv.plane_id] | agree[-1]) & (iv.lo <= mids[:, 0]) & (mids[:, 0] < iv.hi)
+                )
+                segs = [img.segments[i] for i in np.flatnonzero(on_plane)]
+                if not segs:  # nothing to fit the scale on
+                    assert r is None
+                    continue
+                want = _list_fit(horizontal[iv.plane_id].point, vertical.point, segs, (1280, 960))
+                rows = build_rectifier(
+                    horizontal[iv.plane_id].point, vertical.point,
+                    tuple(col[on_plane] for col in table), (1280, 960),
+                )
+                assert np.array_equal(rows.H.m, want.m)
+                assert np.array_equal(r.H.m, want.m)
+                fitted += 1
+        assert fitted >= 2
+
+
 class TestSegmentColumns:
     def _vp(self, point, ids, orientation=HORIZONTAL):
         return VanishingPoint(normalize_h(np.asarray(point, float)), tuple(ids), orientation)
 
     def test_single_vp_full_width(self):
         vp = self._vp([1, 0, 0], range(10))
-        out = segment_columns([], [vp], 640)
+        out = segment_columns(segment_arrays([]), [vp], 640)
         assert out == [ColumnInterval(0, 640, 0)]
 
     def test_two_facades_boundary_in_gap(self):
@@ -146,7 +236,7 @@ class TestSegmentColumns:
         segs = pencil_segments(vp_l, 60, rng, region=(0, 100, 480, 860))
         segs += pencil_segments(vp_r, 60, rng, region=(520, 100, 1000, 860))
         vps = [self._vp(vp_l, range(60)), self._vp(vp_r, range(60, 120))]
-        out = segment_columns(segs, vps, 1000)
+        out = segment_columns(segment_arrays(segs), vps, 1000)
         assert [iv.plane_id for iv in out] == [0, 1]
         boundary = out[0].hi
         assert 480 <= boundary <= 520
@@ -159,7 +249,7 @@ class TestSegmentColumns:
         segs = pencil_segments(vp_l, 40, rng, region=(0, 0, 300, 700))
         segs += pencil_segments(vp_r, 40, rng, region=(340, 0, 640, 700))
         vps = [self._vp(vp_l, range(40)), self._vp(vp_r, range(40, 80))]
-        out = segment_columns(segs, vps, 640)
+        out = segment_columns(segment_arrays(segs), vps, 640)
         assert out[0].lo == 0 and out[-1].hi == 640
         for a, b in zip(out, out[1:]):
             assert a.hi == b.lo
@@ -171,12 +261,12 @@ class TestSegmentColumns:
             self._vp([1, 0, 0], range(30)),
             self._vp([3000.0, 200.0, 1.0], range(30, 50)),
         ]
-        out = segment_columns(segs, vps, 640)
+        out = segment_columns(segment_arrays(segs), vps, 640)
         assert out == [ColumnInterval(0, 640, 0)]
 
     def test_no_horizontal_vp_raises(self):
         with pytest.raises(DegenerateInputError):
-            segment_columns([], [], 640)
+            segment_columns(segment_arrays([]), [], 640)
 
 
 class TestMergeDetections:

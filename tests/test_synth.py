@@ -18,7 +18,7 @@ from objguide.synth import (
     slant_p,
     view_homography,
 )
-from objguide.vanishing import residual_angle
+from test_vanishing import one_row_angle
 
 
 def _spec(seed=0, **kw):
@@ -74,7 +74,7 @@ class TestGenerate:
         scene = generate(_spec(seed=5))
         vp_h, vp_v = scene.gt.vps_a[0]
         res = [
-            min(residual_angle(s, vp_h), residual_angle(s, vp_v))
+            min(one_row_angle(s, vp_h), one_row_angle(s, vp_v))
             for s in scene.img_a.segments
         ]
         assert max(res) < 1e-5
@@ -124,7 +124,7 @@ class TestPencilSegments:
         rng = np.random.default_rng(0)
         for vp in (np.array([2000.0, 300, 1]), np.array([0.0, 1, 0])):
             for s in pencil_segments(vp, 20, rng):
-                assert residual_angle(s, vp) < 1e-5
+                assert one_row_angle(s, vp) < 1e-5
 
     def test_count_and_region(self):
         rng = np.random.default_rng(1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objguide.cli import _preset_scene
-from objguide.geom import LineSegment, is_infinite
+from objguide.geom import LineSegment, _at_infinity
 from objguide.synth import generate, pencil_segments
 from objguide.vanishing import (
     HORIZONTAL,
@@ -18,7 +18,6 @@ from objguide.vanishing import (
     classify,
     estimate_vps,
     image_vps,
-    residual_angle,
     segment_arrays,
 )
 
@@ -28,35 +27,63 @@ def test_nan_angle_thresh_rejected():
         VpParams(angle_thresh=np.nan)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="rng_seed"):
+        VpParams(rng_seed=-1)
+
+
+def one_row_angle(s, v):
+    """Residual angle in degrees of one segment against one vanishing point:
+    a one-row _residual_matrix on the segment's own direction and midpoint."""
+    v = np.asarray(v, dtype=float)
+    return float(_residual_matrix(v[None, :], (s.q - s.p)[None, :], s.midpoint[None, :])[0, 0])
+
+
 class TestResidualAngle:
     def test_aligned_horizontal(self):
         s = LineSegment((0, 0), (10, 0))
-        assert residual_angle(s, np.array([1.0, 0, 0])) == pytest.approx(0.0)
+        assert one_row_angle(s, np.array([1.0, 0, 0])) == pytest.approx(0.0)
 
     def test_perpendicular(self):
         s = LineSegment((0, 0), (0, 10))
-        assert residual_angle(s, np.array([1.0, 0, 0])) == pytest.approx(90.0)
+        assert one_row_angle(s, np.array([1.0, 0, 0])) == pytest.approx(90.0)
 
     def test_diagonal_vs_infinite_horizontal(self):
         s = LineSegment((0, 0), (10, 10))
-        assert residual_angle(s, np.array([1.0, 0, 0])) == pytest.approx(45.0)
+        assert one_row_angle(s, np.array([1.0, 0, 0])) == pytest.approx(45.0)
 
     def test_midpoint_on_vp(self):
         s = LineSegment((0, 0), (10, 0))
-        assert residual_angle(s, np.array([5.0, 0.0, 1.0])) == 0.0
+        assert one_row_angle(s, np.array([5.0, 0.0, 1.0])) == 0.0
 
     def test_exact_near_zero(self):
         # arccos of a cosine cannot resolve angles this small.
         a = np.radians(1e-7)
         s = LineSegment((0, 0), (100 * np.cos(a), 100 * np.sin(a)))
-        assert abs(residual_angle(s, np.array([1.0, 0, 0])) - 1e-7) < 1e-10
+        assert abs(one_row_angle(s, np.array([1.0, 0, 0])) - 1e-7) < 1e-10
+
+
+    def test_table_equals_one_row_angles(self):
+        # Every entry of the matrix on a scene's segment table equals the
+        # angle computed from that segment and point alone.
+        rng = np.random.default_rng(0)
+        for seed in (0, 1):
+            img = generate(_preset_scene("two-facade", seed)).img_a
+            table = segment_arrays(img.segments)
+            _, _, dirs, mids, _ = table
+            vps = [vp.point for vp in image_vps(table, img.width, img.height, VpParams())]
+            vps += [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+            vps += list(rng.normal(size=(4, 3)))
+            res = _residual_matrix(np.array(vps), dirs, mids)
+            want = [[one_row_angle(s, v) for s in img.segments] for v in vps]
+            assert np.array_equal(res, np.array(want))
 
 
 class TestEstimateVps:
     def test_axis_aligned_families(self):
         segs = [LineSegment((10 * i, 0), (10 * i, 100)) for i in range(50)]
         segs += [LineSegment((0, 10 * i), (200, 10 * i)) for i in range(50)]
-        vps = estimate_vps(segs, VpParams(rng_seed=1))
+        vps = estimate_vps(segment_arrays(segs), VpParams(rng_seed=1))
         assert len(vps) == 2
         assert {vp.support for vp in vps} == {50}
         dirs = {tuple(np.round(np.abs(vp.point), 6)) for vp in vps}
@@ -72,21 +99,21 @@ class TestEstimateVps:
             ang = rng.uniform(0, np.pi)
             d = 20 * np.array([np.cos(ang), np.sin(ang)])
             outliers.append(LineSegment(mid - d, mid + d))
-        vps = estimate_vps(inliers + outliers, VpParams(rng_seed=2))
+        vps = estimate_vps(segment_arrays(inliers + outliers), VpParams(rng_seed=2))
         assert vps
         best = vps[0]
-        assert all(residual_angle(s, best.point) < 0.5 for s in inliers)
+        assert all(one_row_angle(s, best.point) < 0.5 for s in inliers)
 
     def test_too_few_segments(self):
-        assert estimate_vps([], VpParams()) == []
-        assert estimate_vps([LineSegment((0, 0), (1, 0))], VpParams()) == []
+        assert estimate_vps(segment_arrays([]), VpParams()) == []
+        assert estimate_vps(segment_arrays([LineSegment((0, 0), (1, 0))]), VpParams()) == []
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
         segs = pencil_segments(np.array([1500.0, 300, 1]), 30, rng, noise_deg=0.5)
         segs += pencil_segments(np.array([0.0, 1, 0]), 30, rng, noise_deg=0.5)
-        a = estimate_vps(segs, VpParams(rng_seed=5))
-        b = estimate_vps(segs, VpParams(rng_seed=5))
+        a = estimate_vps(segment_arrays(segs), VpParams(rng_seed=5))
+        b = estimate_vps(segment_arrays(segs), VpParams(rng_seed=5))
         assert len(a) == len(b)
         for va, vb in zip(a, b):
             assert np.array_equal(va.point, vb.point)
@@ -98,7 +125,7 @@ class TestEstimateVps:
         segs += pencil_segments(np.array([0.0, 1, 0]), 25, rng, noise_deg=0.3)
         segs += pencil_segments(np.array([-900.0, 450, 1]), 15, rng, noise_deg=0.3)
         params = VpParams(rng_seed=0)
-        vps = estimate_vps(segs, params)
+        vps = estimate_vps(segment_arrays(segs), params)
         seen = set()
         supports = [vp.support for vp in vps]
         assert supports == sorted(supports, reverse=True)
@@ -106,14 +133,14 @@ class TestEstimateVps:
             assert not seen & set(vp.inlier_ids)
             seen |= set(vp.inlier_ids)
             for i in vp.inlier_ids:
-                assert residual_angle(segs[i], vp.point) <= params.angle_thresh
+                assert one_row_angle(segs[i], vp.point) <= params.angle_thresh
 
     def test_noise_free_refinement(self):
         rng = np.random.default_rng(21)
         segs = pencil_segments(np.array([1800.0, 350, 1]), 40, rng)
-        vps = estimate_vps(segs, VpParams(rng_seed=3))
+        vps = estimate_vps(segment_arrays(segs), VpParams(rng_seed=3))
         assert len(vps) == 1
-        assert max(residual_angle(s, vps[0].point) for s in segs) < 1e-6
+        assert max(one_row_angle(s, vps[0].point) for s in segs) < 1e-6
 
 
 def _ulp_steps(x, k):
@@ -229,7 +256,7 @@ def test_estimate_vps_matches_full_matrix_reference(preset, scene_seed):
         for rng_seed in range(3):
             for thresh in (1.0, 2.0, 3.0):
                 params = VpParams(angle_thresh=thresh, rng_seed=rng_seed)
-                got = estimate_vps(img.segments, params)
+                got = estimate_vps(segment_arrays(img.segments), params)
                 want = _reference_estimate_vps(img.segments, params)
                 assert [(v.point.tobytes(), v.inlier_ids) for v in got] == [
                     (v.point.tobytes(), v.inlier_ids) for v in want
@@ -239,18 +266,18 @@ def test_estimate_vps_matches_full_matrix_reference(preset, scene_seed):
 class TestClassify:
     def test_infinite_vertical(self):
         segs = [LineSegment((10 * i, 0), (10 * i, 100)) for i in range(10)]
-        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
+        vps = classify(estimate_vps(segment_arrays(segs), VpParams()), center=(640, 480))
         assert vps[0].orientation == VERTICAL
 
     def test_infinite_horizontal(self):
         segs = [LineSegment((0, 10 * i), (200, 10 * i)) for i in range(10)]
-        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
+        vps = classify(estimate_vps(segment_arrays(segs), VpParams()), center=(640, 480))
         assert vps[0].orientation == HORIZONTAL
 
     def test_far_lateral_point_is_horizontal(self):
         rng = np.random.default_rng(3)
         segs = pencil_segments(np.array([10000.0, 350, 1]), 20, rng)
-        vps = classify(estimate_vps(segs, VpParams()), center=(960, 540))
+        vps = classify(estimate_vps(segment_arrays(segs), VpParams()), center=(960, 540))
         assert vps[0].orientation == HORIZONTAL
 
     def test_single_vertical_kept(self):
@@ -258,7 +285,7 @@ class TestClassify:
         rng = np.random.default_rng(6)
         segs = pencil_segments(np.array([600.0, 20000, 1]), 30, rng, region=(0, 0, 1280, 960))
         segs += pencil_segments(np.array([700.0, -30000, 1]), 12, rng, region=(0, 0, 1280, 960))
-        vps = classify(estimate_vps(segs, VpParams()), center=(640, 480))
+        vps = classify(estimate_vps(segment_arrays(segs), VpParams()), center=(640, 480))
         labels = [vp.orientation for vp in vps]
         assert labels.count(VERTICAL) == 1
         assert vps[0].orientation == VERTICAL
@@ -271,10 +298,10 @@ def _angle_at(center, a, b):
     """
     rays = []
     for v in (np.asarray(a, float), np.asarray(b, float)):
-        d = v[:2] if is_infinite(v) else v[:2] / v[2] - center
+        d = v[:2] if _at_infinity(v) else v[:2] / v[2] - center
         rays.append(d / np.linalg.norm(d))
     cos = float(rays[0] @ rays[1])
-    if is_infinite(a) or is_infinite(b):
+    if _at_infinity(np.asarray(a, float)) or _at_infinity(np.asarray(b, float)):
         cos = abs(cos)
     return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
@@ -292,7 +319,7 @@ class TestTwoFacadeVps:
         center = np.array([img.width / 2.0, img.height / 2.0])
         found = [
             vp.point
-            for vp in image_vps(img.segments, img.width, img.height, VpParams())
+            for vp in image_vps(segment_arrays(img.segments), img.width, img.height, VpParams())
             if vp.orientation == HORIZONTAL
         ]
         for planted, _vp_v in scene.gt.vps_a:
