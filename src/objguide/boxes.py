@@ -35,7 +35,7 @@ def vote_box_vps(
     segs: SegmentTable,
     vps: list[VanishingPoint],
     params: VpParams,
-) -> list[tuple[VanishingPoint, VanishingPoint]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pick, for every box of one image, the horizontal and vertical
     vanishing points supported by the segments around it.
 
@@ -43,9 +43,9 @@ def vote_box_vps(
     length) for the vanishing point that minimizes its residual angle,
     provided that residual is within params.angle_thresh.  Only segments
     whose midpoint falls inside the box dilated by 50% of its extent take
-    part.  With no local votes the
-    globally best-supported vanishing point of each orientation is used.
-    Returns one (horizontal, vertical) pair per box.
+    part.  With no local votes the globally best-supported vanishing point
+    of each orientation is used.
+    Returns the picked horizontal and vertical points as two (N, 3) stacks.
     """
     h_global = best_by_orientation(vps, HORIZONTAL)
     v_global = best_by_orientation(vps, VERTICAL)
@@ -57,17 +57,17 @@ def vote_box_vps(
     def winner(votes, orientation, fallback):
         ks = [k for k, vp in enumerate(vps) if vp.orientation == orientation and votes[k] > 0]
         # max keeps the first of equal vote totals
-        return vps[max(ks, key=lambda k: votes[k])] if ks else fallback
+        return vps[max(ks, key=lambda k: votes[k])].point if ks else fallback.point
 
-    picks = []
-    for box in boxes:
+    picks = np.zeros((2, len(boxes), 3))
+    for n, box in enumerate(boxes):
         cx, cy = box.center
         hw, hh = 0.75 * box.width, 0.75 * box.height  # box dilated by 50%
         local = voting & (np.abs(mids[:, 0] - cx) <= hw) & (np.abs(mids[:, 1] - cy) <= hh)
         # bincount adds the weights in segment order.
         votes = np.bincount(nearest[local], weights=lengths[local], minlength=len(vps))
-        picks.append((winner(votes, HORIZONTAL, h_global), winner(votes, VERTICAL, v_global)))
-    return picks
+        picks[:, n] = winner(votes, HORIZONTAL, h_global), winner(votes, VERTICAL, v_global)
+    return picks[0], picks[1]
 
 
 def adjust_box(

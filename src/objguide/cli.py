@@ -17,6 +17,7 @@ from .guided import match_pair
 from .objmatch import DimensionMismatchError, MatchParams
 from .rectify import MODES, build_plane_rectifiers
 from .synth import (
+    GroundTruth,
     NoiseSpec,
     PlaneSpec,
     SceneSpec,
@@ -52,9 +53,9 @@ class InvalidParameterError(Exception):
     """A pipeline flag holds a value the parameter classes reject."""
 
 
-def _checked(cls, **kwargs):
+def _checked(make, **kwargs):
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise InvalidParameterError(f"invalid parameter: {exc}") from exc
 
@@ -193,9 +194,7 @@ def _preset_scene(preset: str, seed: int) -> SceneSpec:
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise InvalidParameterError("invalid parameter: seed must be >= 0")
-    scene = generate(_preset_scene(args.preset, args.seed))
+    scene = generate(_checked(_preset_scene, preset=args.preset, seed=args.seed))
     formats.write_image_dir(os.path.join(args.out, "a"), scene.img_a)
     formats.write_image_dir(os.path.join(args.out, "b"), scene.img_b)
     formats.write_feature_pairs(
@@ -209,15 +208,16 @@ def cmd_eval(args) -> int:
     matches = formats.read_matches(args.matches)
     pairs = formats.read_feature_pairs(args.gt)
     feats2 = formats.read_features(args.features2)
-
-    from .synth import GroundTruth
-
+    ids2 = {f.id for f in feats2}
+    for path, js in ((args.matches, [m.j for m in matches]), (args.gt, pairs.values())):
+        if bad := [j for j in js if j not in ids2]:
+            raise InvalidParameterError(f"{path}: feature id {bad[0]} is not in {args.features2}")
     gt = GroundTruth(
         box_pairs=[], box_plane_a=[], box_plane_b=[], feature_pairs=pairs,
         plane_homographies=[], vps_a=[], vps_b=[], plane_x_extent_a=[],
         plane_x_extent_b=[], corner_pairs=[],
     )
-    rep = score(matches, feats2, gt, tol=args.tol)
+    rep = _checked(score, matches=matches, feats2=feats2, gt=gt, tol=args.tol)
     print(f"precision {rep.precision}")
     print(f"recall {rep.recall}")
     print(f"correct {rep.n_correct}")

@@ -274,20 +274,15 @@ def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
     return area
 
 
-def project_quads(
-    h: Homography | np.ndarray, corners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map quads (N, 4, 2) under h, as QuadBox(canonical_quad_order(h.map_points(q)))
-    does for one quad.
+def project_quads(h: np.ndarray, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map quads (N, 4, 2) under each homography matrix of a stack (K, 3, 3),
+    as QuadBox(canonical_quad_order(Homography(m).map_points(q))) does for
+    one matrix and one quad.
 
-    h is a Homography or a stack of homography matrices (K, 3, 3).  Returns
-    the mask (N,) or (K, N) of the images that are finite and strictly
-    convex, and every image (N, 4, 2) or (K, N, 4, 2) in canonical corner
-    order; an image outside the mask holds meaningless finite values.
+    Returns the mask (K, N) of the images that are finite and strictly
+    convex, and every image (K, N, 4, 2) in canonical corner order; an
+    image outside the mask holds meaningless finite values.
     """
-    if isinstance(h, Homography):
-        valid, quads = project_quads(h.m[None], corners)
-        return valid[0], quads[0]
     corners = np.asarray(corners, dtype=float)
     n = len(corners)
     pts = np.column_stack([corners.reshape(-1, 2), np.ones(4 * n)])

@@ -79,22 +79,23 @@ class MatchSet:
 
 def refine_homography(
     g: ObjectGroup,
-    boxes1: list[QuadBox],
-    boxes2: list[QuadBox],
+    corners1: np.ndarray,
+    corners2: np.ndarray,
     vps1: list[VanishingPoint],
     vps2: list[VanishingPoint],
     params: MatchParams,
 ) -> Homography:
     """Re-estimate the group homography from all supporting corners.
 
-    The best-supported horizontal and vertical vanishing points of the two
-    images are appended as weighted correspondences, enforcing consistency
-    of the vanishing geometry.  Falls back to the initial hypothesis (with
-    g.refined left False) when the system is degenerate or the refit breaks
-    the group's IoU support.
+    corners1 (N1, 4, 2) and corners2 (N2, 4, 2) are the images' box corners,
+    which g.pairs index.  The best-supported horizontal and vertical
+    vanishing points of the two images are appended as weighted
+    correspondences, enforcing consistency of the vanishing geometry.
+    Falls back to the initial hypothesis (with g.refined left False) when
+    the system is degenerate or the refit breaks the group's IoU support.
     """
-    corners1 = np.array([boxes1[i].corners for i, _ in g.pairs])
-    corners2 = np.array([boxes2[j].corners for _, j in g.pairs])
+    i, j = np.array(g.pairs, dtype=int).reshape(-1, 2).T
+    corners1, corners2 = corners1[i], corners2[j]
     src, dst = corners1.reshape(-1, 2), corners2.reshape(-1, 2)
     src_h = np.column_stack([src, np.ones(len(src))])
     dst_h = np.column_stack([dst, np.ones(len(dst))])
@@ -128,7 +129,7 @@ def refine_homography(
     # IoU support that defined the group.
     if corner_rms(refined) > corner_rms(g.H) + 1e-9:
         return g.H
-    valid, proj = project_quads(refined, corners1)
+    [valid], [proj] = project_quads(refined.m[None], corners1)
     if not valid.all() or np.any(quad_iou(proj, corners2) < params.eps_iou):
         return g.H
 
@@ -137,10 +138,11 @@ def refine_homography(
     return refined
 
 
-def support_region(g: ObjectGroup, boxes: list[QuadBox], points: np.ndarray) -> np.ndarray:
+def support_region(g: ObjectGroup, corners: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Mask of the points (N, 2) inside any of the group's supporting quads,
-    each scaled about its centroid by 1 + SUPPORT_MARGIN."""
-    corners = np.array([boxes[i].corners for i, _ in g.pairs])
+    each scaled about its centroid by 1 + SUPPORT_MARGIN.  corners (N1, 4, 2)
+    are the image-1 box corners, which g.pairs index."""
+    corners = corners[[i for i, _ in g.pairs]]
     c = corners.mean(axis=1, keepdims=True)
     return points_in_quads(c + (1.0 + SUPPORT_MARGIN) * (corners - c), points).any(axis=0)
 
@@ -149,7 +151,7 @@ def guided_match(
     table1: FeatureTable,
     table2: FeatureTable,
     g: ObjectGroup,
-    boxes1: list[QuadBox],
+    corners1: np.ndarray,
     params: MatchParams,
     group_id: int,
     free1: np.ndarray,
@@ -171,7 +173,7 @@ def guided_match(
         return []
     pool1 = pos1[rows1]
     ph = g.H._map_h(pool1)
-    keep = support_region(g, boxes1, pool1) & ~_at_infinity(ph)
+    keep = support_region(g, corners1, pool1) & ~_at_infinity(ph)
     usable = rows1[keep]
     if not usable.size:
         return []
@@ -258,12 +260,7 @@ def _detection_streams(
     # orientation or when its adjusted quad is degenerate.
     adjusted = orthogonal
     with suppress(MissingVanishingPointError):
-        picks = vote_box_vps(img.boxes, segs, vps, vp_params)
-        quads = adjust_box(
-            img.boxes,
-            np.array([vp_h.point for vp_h, _ in picks]),
-            np.array([vp_v.point for _, vp_v in picks]),
-        )
+        quads = adjust_box(img.boxes, *vote_box_vps(img.boxes, segs, vps, vp_params))
         adjusted = [o if q is None else q for o, q in zip(orthogonal, quads)]
 
     rectified: list[QuadBox] = []
@@ -312,21 +309,23 @@ def match_pair(
         segs = segment_arrays(img.segments)
         vps = image_vps(segs, img.width, img.height, vp_params)
         merged = merge_detections(*_detection_streams(img, segs, vps, vp_params), mode)
-        per_image.append((vps, merged, feature_table(img.features, dim)))
+        # One corner table per image serves every box stage after the merge.
+        corners = np.array([q.corners for q in merged]).reshape(-1, 4, 2)
+        per_image.append((vps, corners, feature_table(img.features, dim)))
         report[f"vps_{tag}"] = len(vps)
-        report[f"boxes_{tag}"] = len(merged)
-    (vps1, boxes1, table1), (vps2, boxes2, table2) = per_image
+        report[f"boxes_{tag}"] = len(corners)
+    (vps1, corners1, table1), (vps2, corners2, table2) = per_image
 
-    groups = greedy_match(boxes1, boxes2, table1, table2, params)
+    groups = greedy_match(corners1, corners2, table1, table2, params)
     for g in groups:
-        refine_homography(g, boxes1, boxes2, vps1, vps2, params)
+        refine_homography(g, corners1, corners2, vps1, vps2, params)
     report["groups"] = len(groups)
 
     matches: list[Match] = []
     free1 = np.ones(len(table1[0]), dtype=bool)
     free2 = np.ones(len(table2[0]), dtype=bool)
     for gid, g in enumerate(groups):
-        matches += guided_match(table1, table2, g, boxes1, params, gid, free1, free2)
+        matches += guided_match(table1, table2, g, corners1, params, gid, free1, free2)
     report["guided_matches"] = len(matches)
 
     # The fallback sees the leftover rows only; the full tables are freed first.

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .geom import DetBox, Homography, LineSegment, QuadBox
+from .geom import DegenerateInputError, DetBox, Homography, LineSegment, QuadBox
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature, ObjectGroup
 from .rectify import ColumnInterval, Rectifier
@@ -198,8 +198,10 @@ def read_groups(path: str) -> list[ObjectGroup]:
         try:
             npairs = int(parts[10])
             h = Homography(np.array([float(p) for p in parts[1:10]]).reshape(3, 3))
-        except ValueError as exc:
+        except (ValueError, DegenerateInputError) as exc:
             raise ParseError(path, no, str(exc)) from exc
+        if npairs < 0:
+            raise ParseError(path, no, f"negative pair count {npairs}")
         pairs = []
         for _ in range(npairs):
             try:

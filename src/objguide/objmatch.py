@@ -17,7 +17,6 @@ from .geom import (
     DegenerateInputError,
     EstimationError,
     Homography,
-    QuadBox,
     bbox_overlaps,
     dlt_homography,
     points_in_quads,
@@ -93,14 +92,12 @@ class ObjectGroup:
 
 
 def gem_pool(descs: np.ndarray, p: float) -> np.ndarray:
-    """Generalized-mean pooling of unit descriptors, re-normalized.
+    """Generalized-mean pooling of unit descriptors (N, D), re-normalized.
 
     GeM is defined on non-negative activations; signed components are pooled
     on their magnitudes and given the sign of the componentwise mean.
     """
     descs = np.asarray(descs, dtype=float)
-    if descs.ndim == 1:
-        descs = descs[None, :]
     if len(descs) == 0:
         raise NoDescriptorError("cannot pool an empty descriptor set")
     pooled = np.mean(np.abs(descs) ** p, axis=0) ** (1.0 / p)
@@ -164,9 +161,9 @@ def candidates(
     return [int(j) for j in order[:k]]
 
 
-def hypothesis(q1: QuadBox, q2: QuadBox) -> Homography:
-    """Homography mapping one quad's corners onto the other's."""
-    return dlt_homography(q1.corners, q2.corners)
+def hypothesis(c1: np.ndarray, c2: np.ndarray) -> Homography:
+    """Homography mapping one quad's corners (4, 2) onto the other's."""
+    return dlt_homography(c1, c2)
 
 
 def greedy_assign(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,26 +231,25 @@ def _support(
 
 
 def greedy_match(
-    boxes1: list[QuadBox],
-    boxes2: list[QuadBox],
+    corners1: np.ndarray,
+    corners2: np.ndarray,
     table1: FeatureTable,
     table2: FeatureTable,
     params: MatchParams,
 ) -> list[ObjectGroup]:
     """Extract object groups by repeated best-supported homography hypotheses.
 
-    table1 and table2 are the images' feature_table rows, which give the
+    corners1 (N1, 4, 2) and corners2 (N2, 4, 2) are the images' box
+    corners; table1 and table2 are their feature_table rows, which give the
     boxes their pooled descriptors.  Fully deterministic: ties are resolved
     by larger summed IoU, then by the lexicographically smaller supporting
     pair list.
     """
-    corners1 = np.array([q.corners for q in boxes1]).reshape(-1, 4, 2)
-    corners2 = np.array([q.corners for q in boxes2]).reshape(-1, 4, 2)
     descs1 = box_descriptor(corners1, table1[1], table1[2], params.gem_p)
     descs2 = box_descriptor(corners2, table2[1], table2[2], params.gem_p)
 
-    remaining1 = list(range(len(boxes1)))
-    remaining2 = list(range(len(boxes2)))
+    remaining1 = list(range(len(corners1)))
+    remaining2 = list(range(len(corners2)))
     groups: list[ObjectGroup] = []
     # A hypothesis depends only on its two quads: each box pair's DLT, or
     # its failure (None), is computed once for all rounds.
@@ -267,7 +263,7 @@ def greedy_match(
                 j = remaining2[lj]
                 if (i, j) not in cache:
                     try:
-                        cache[i, j] = hypothesis(boxes1[i], boxes2[j])
+                        cache[i, j] = hypothesis(corners1[i], corners2[j])
                     except (EstimationError, DegenerateInputError):
                         cache[i, j] = None
                 if cache[i, j] is not None:

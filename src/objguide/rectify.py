@@ -279,7 +279,7 @@ def build_plane_rectifiers(
 
 def backproject_quad(box: DetBox, r: Rectifier) -> QuadBox:
     """Map a rectified-frame detection back to the original image."""
-    [valid], [corners] = project_quads(r.H.inv, box.corners[None])
+    [[valid]], [[corners]] = project_quads(r.H.inv.m[None], box.corners[None])
     if not valid:
         raise BackprojectionError("backprojected corner at infinity or quad not convex")
     return QuadBox(corners, box.score)

@@ -80,6 +80,10 @@ class SceneSpec:
     codebook: int = 0  # >0: descriptors drawn from a small repeated codebook
     with_rect_boxes: bool = False
 
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass
 class GroundTruth:
@@ -443,7 +447,10 @@ def score(
 
     A match (i, j) is correct when the true partner of i lies within tol
     pixels of feature j.  An empty match set scores precision 1 (vacuous).
+    Raises ValueError unless tol >= 0.
     """
+    if not tol >= 0.0:  # also rejects nan
+        raise ValueError("tol must be >= 0")
     mlist = matches.matches if isinstance(matches, MatchSet) else matches
     pos2 = {f.id: f.pos for f in feats2}
     correct = 0

@@ -303,8 +303,9 @@ def test_criterion_6_greedy_object_matching():
         scene = generate(_two_plane_spec(seed))
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
+        c1, c2 = np.array([q.corners for q in b1]), np.array([q.corners for q in b2])
         groups = greedy_match(
-            b1, b2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
         )
         seen1, seen2 = set(), set()
         for g in groups:
@@ -397,13 +398,14 @@ def test_criterion_8_refinement_monotonicity():
         )
         b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
+        c1, c2 = np.array([q.corners for q in b1]), np.array([q.corners for q in b2])
         groups = greedy_match(
-            b1, b2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
         )
         assert groups
         g = groups[0]
         before = homography_rms(g.H, 0, scene.gt)
-        refine_homography(g, b1, b2, [], [], params)
+        refine_homography(g, c1, c2, [], [], params)
         after = homography_rms(g.H, 0, scene.gt)
         init.append(before)
         refined.append(after)

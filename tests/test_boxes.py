@@ -16,6 +16,7 @@ from objguide.synth import (
 from objguide.vanishing import (
     HORIZONTAL,
     VERTICAL,
+    MissingVanishingPointError,
     VanishingPoint,
     VpParams,
     _residual_matrix,
@@ -92,17 +93,17 @@ class TestVoteBoxVps:
             d = np.array([2000.0, 300.0]) - mid
             d = 30 * d / np.linalg.norm(d)
             segs.append(LineSegment(mid - d / 2, mid + d / 2))
-        [(vp_h, vp_v)] = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
-        assert vp_h is vps[1]
-        assert vp_v is vps[2]
+        [vp_h], [vp_v] = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
+        assert np.array_equal(vp_h, vps[1].point)
+        assert np.array_equal(vp_v, vps[2].point)
 
     def test_no_local_votes_falls_back_to_global(self):
         vps = self._vps()
         box = DetBox(10, 10, 60, 60)
         far = [LineSegment((900, 900), (960, 900))]
-        [(vp_h, vp_v)] = vote_box_vps([box], segment_arrays(far), vps, VpParams())
-        assert vp_h is vps[0]  # best-supported horizontal
-        assert vp_v is vps[2]
+        [vp_h], [vp_v] = vote_box_vps([box], segment_arrays(far), vps, VpParams())
+        assert np.array_equal(vp_h, vps[0].point)  # best-supported horizontal
+        assert np.array_equal(vp_v, vps[2].point)
 
     def test_length_weighting_breaks_conflicts(self):
         vps = self._vps()
@@ -115,8 +116,8 @@ class TestVoteBoxVps:
         for off in (-20.0, 20.0):
             m = mid + [0, off]
             segs.append(LineSegment(m - [15, 0], m + [15, 0]))
-        [(vp_h, _)] = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
-        assert vp_h is vps[1]
+        [vp_h], _ = vote_box_vps([box], segment_arrays(segs), vps, VpParams())
+        assert np.array_equal(vp_h, vps[1].point)
 
     def test_equal_votes_keep_first(self):
         # One 30 px segment toward each horizontal point: the first one wins.
@@ -130,8 +131,19 @@ class TestVoteBoxVps:
         assert [s.length for s in segs] == [30.0, 30.0]
         box = DetBox(500, 400, 600, 500)
         table = segment_arrays(segs)
-        assert vote_box_vps([box], table, vps, VpParams())[0][0] is vps[0]
-        assert vote_box_vps([box], table, vps[1::-1] + vps[2:], VpParams())[0][0] is vps[1]
+        assert np.array_equal(vote_box_vps([box], table, vps, VpParams())[0][0], vps[0].point)
+        swapped = vps[1::-1] + vps[2:]
+        assert np.array_equal(vote_box_vps([box], table, swapped, VpParams())[0][0], vps[1].point)
+
+    def test_no_boxes_give_empty_stacks(self):
+        table = segment_arrays([LineSegment((515, 430), (545, 430))])
+        vp_h, vp_v = vote_box_vps([], table, self._vps(), VpParams())
+        assert vp_h.shape == vp_v.shape == (0, 3)
+
+    def test_missing_orientation_raises(self):
+        table = segment_arrays([LineSegment((515, 430), (545, 430))])
+        with pytest.raises(MissingVanishingPointError):
+            vote_box_vps([DetBox(500, 400, 600, 500)], table, self._vps()[:2], VpParams())
 
 
 def _reference_vote(box, segments, vps, params):
@@ -170,11 +182,11 @@ class TestVoteBoxVpsReference:
                 table = segment_arrays(img.segments)
                 vps = image_vps(table, img.width, img.height, params)
                 got = vote_box_vps(img.boxes, table, vps, params)
-                assert len(got) == len(img.boxes)
-                for box, (vp_h, vp_v) in zip(img.boxes, got):
+                assert got[0].shape == got[1].shape == (len(img.boxes), 3)
+                for box, vp_h, vp_v in zip(img.boxes, *got):
                     ref_h, ref_v = _reference_vote(box, img.segments, vps, params)
-                    assert vp_h is ref_h and vp_v is ref_v
-                    local += vp_h is not best_by_orientation(vps, HORIZONTAL)
+                    assert np.array_equal(vp_h, ref_h.point) and np.array_equal(vp_v, ref_v.point)
+                    local += not np.array_equal(vp_h, best_by_orientation(vps, HORIZONTAL).point)
         if preset == "two-facade":
             # Some boxes (seed 1, view a) outvote the global horizontal point.
             assert local > 0
@@ -196,10 +208,10 @@ class TestVoteBoxVpsReference:
             boxes.append(DetBox(x, y, x + w, y + h))
         got = vote_box_vps(boxes, table, vps, params)
         picks = set()
-        for box, (vp_h, vp_v) in zip(boxes, got):
+        for box, vp_h, vp_v in zip(boxes, *got):
             ref_h, ref_v = _reference_vote(box, segs, vps, params)
-            assert vp_h is ref_h and vp_v is ref_v
-            picks.add((id(vp_h), id(vp_v)))
+            assert np.array_equal(vp_h, ref_h.point) and np.array_equal(vp_v, ref_v.point)
+            picks.add((vp_h.tobytes(), vp_v.tobytes()))
         assert len(picks) >= 3
 
 
@@ -260,9 +272,7 @@ class TestAdjustBoxReference:
             for img in (scene.img_a, scene.img_b):
                 table = segment_arrays(img.segments)
                 vps = image_vps(table, img.width, img.height, params)
-                picks = vote_box_vps(img.boxes, table, vps, params)
-                vp_h = np.array([h.point for h, _ in picks])
-                vp_v = np.array([v.point for _, v in picks])
+                vp_h, vp_v = vote_box_vps(img.boxes, table, vps, params)
                 _assert_adjust_equals_reference(img.boxes, vp_h, vp_v)
                 n += len(img.boxes)
         assert n >= 50
@@ -334,7 +344,7 @@ class TestAdjustmentPipeline:
             trues.append(true)
             boxes.append(DetBox(lo[0], lo[1], hi[0], hi[1]))
         errs = []
-        for box, true, (vp_h, vp_v) in zip(boxes, trues, vote_box_vps(boxes, table, vps, VpParams())):
-            [q] = adjust_box([box], vp_h.point, vp_v.point)
+        for box, true, vp_h, vp_v in zip(boxes, trues, *vote_box_vps(boxes, table, vps, VpParams())):
+            [q] = adjust_box([box], vp_h, vp_v)
             errs.append(np.abs(q.corners - true).max())
         assert np.median(errs) < 2.0

@@ -28,7 +28,7 @@ from objguide.rectify import DEDUP_IOU, MODES, merge_detections
 from objguide.synth import generate
 
 from test_acceptance import _two_plane_spec
-from test_geom import contains_points
+from test_geom import contains_points, corner_table
 
 
 def _reference_descriptors(boxes, feats, dim, p):
@@ -115,7 +115,7 @@ def _assert_same_groups(boxes1, boxes2, feats1, feats2, params=None):
     ref = feats1 or feats2
     dim = len(ref[0].desc) if ref else 0
     tables = feature_table(feats1, dim), feature_table(feats2, dim)
-    got = greedy_match(boxes1, boxes2, *tables, params)
+    got = greedy_match(corner_table(boxes1), corner_table(boxes2), *tables, params)
     want = reference_greedy_match(boxes1, boxes2, feats1, feats2, params)
     assert [(g.pairs, g.H.m.tobytes()) for g in got] == want
     return got

@@ -42,6 +42,11 @@ def contains_points(corners, points):
     return np.all(cross >= -CONTAINS_EPS, axis=1)
 
 
+def corner_table(boxes):
+    """Corner table (N, 4, 2) of DetBoxes or QuadBoxes, as match_pair builds it."""
+    return np.array([b.corners for b in boxes]).reshape(-1, 4, 2)
+
+
 def hom(x, y):
     return np.array([float(x), float(y), 1.0])
 
@@ -447,7 +452,7 @@ class TestBoxes:
                 pass
         corners = np.array([q.corners for q in quads])
         with np.errstate(all="raise"):
-            valid, proj = project_quads(h, corners)
+            [valid], [proj] = project_quads(h.m[None], corners)
             stacked_valid, stacked = project_quads(np.stack([np.eye(3), h.m]), corners)
         rows = np.flatnonzero(valid)
         assert 1 not in rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from objguide.cli import _preset_scene
-from objguide.geom import DetBox, Homography, QuadBox, _at_infinity
+from objguide.geom import DetBox, Homography, _at_infinity
 from objguide.guided import (
     SIM_THRESH,
     Match,
@@ -35,6 +35,8 @@ from objguide.synth import (
     view_homography,
 )
 from objguide.vanishing import segment_arrays
+
+from test_geom import corner_table
 
 
 def _unit(v):
@@ -88,7 +90,7 @@ def _single_plane(seed=0, desc_sigma=0.3, corner_sigma=1.0):
 
 class TestSupportRegion:
     def test_dilated_membership(self):
-        boxes = [QuadBox.from_detbox(DetBox(0, 0, 100, 100))]
+        boxes = corner_table([DetBox(0, 0, 100, 100)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
         # Inside; inside the 50% dilation only; outside the dilation.
         pts = np.array([[50.0, 50.0], [-20.0, 50.0], [-60.0, 50.0]])
@@ -110,7 +112,7 @@ class TestGuidedMatch:
         shared = _unit(np.arange(1.0, 17.0))
         f1 = self._grid(shared=shared)
         f2 = self._grid(shared=shared, shift=np.array([5.0, 3.0]))
-        boxes = [QuadBox.from_detbox(DetBox(-50, -50, 350, 350))]
+        boxes = corner_table([DetBox(-50, -50, 350, 350)])
         g = ObjectGroup(H=_shift(5, 3), pairs=[(0, 0)])
         got = _guided(f1, f2, g, boxes, MatchParams())
         assert len(got) == 16
@@ -123,7 +125,7 @@ class TestGuidedMatch:
         shared = _unit(np.ones(8))
         f1 = [_feat(0, [0, 0], shared)]
         f2 = [_feat(0, [100.0, 0], shared)]
-        boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
+        boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
         assert _guided(f1, f2, g, boxes, MatchParams(r_search=20.0)) == []
         got = _guided(f1, f2, g, boxes, MatchParams(r_search=150.0))
@@ -136,7 +138,7 @@ class TestGuidedMatch:
             _feat(1, [2, 0], target),
         ]
         f2 = [_feat(0, [1.0, 0], target), _feat(1, [4.0, 0], [0.8, 0.6, 0, 0])]
-        boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
+        boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
         got = _guided(f1, f2, g, boxes, MatchParams(r_search=20.0))
         by_i = {m.i: m.j for m in got}
@@ -147,7 +149,7 @@ class TestGuidedMatch:
         shared = _unit(np.ones(4))
         f1 = [_feat(0, [0, 0], shared)]
         f2 = [_feat(0, [0, 0], shared)]
-        boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
+        boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
         t1, t2 = feature_table(f1), feature_table(f2)
         for free in (([False], [True]), ([True], [False])):
@@ -216,7 +218,7 @@ class TestGuidedMatchReference:
         m = np.eye(3)
         m[:2] += rng.uniform(-0.05, 0.05, (2, 3)) * [1, 1, 100]
         g = ObjectGroup(H=Homography(m), pairs=[(0, 0)])
-        boxes = [QuadBox.from_detbox(DetBox(5, 5, 45, 45))]
+        boxes = corner_table([DetBox(5, 5, 45, 45)])
         params = MatchParams(r_search=float(rng.uniform(5, 30)))
         claimed1 = {f.id for f in f1 if rng.uniform() < 0.2}
         claimed2 = {f.id for f in f2 if rng.uniform() < 0.2}
@@ -269,7 +271,7 @@ class TestGuidedMatchReference:
             _feat(1, [2, 0], [-0.8, 0.6]),
             _feat(2, [0, 2], [0.96, -0.28]),
         ]
-        boxes = [QuadBox.from_detbox(DetBox(-10, -10, 10, 10))]
+        boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
         got = _guided(f1, f2, g, boxes, MatchParams())
         assert [(m.i, m.j) for m in got] == [(0, 1), (2, 0)]
@@ -378,8 +380,7 @@ class TestRefineHomography:
             scene = _single_plane(seed=seed, corner_sigma=1.5)
             from objguide.objmatch import greedy_match
 
-            b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
-            b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
+            b1, b2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
             params = MatchParams()
             tables = feature_table(scene.img_a.features), feature_table(scene.img_b.features)
             groups = greedy_match(b1, b2, *tables, params)
@@ -391,13 +392,20 @@ class TestRefineHomography:
             assert after <= before * 1.05
 
     def test_degenerate_fallback_keeps_initial(self):
-        q = QuadBox.from_detbox(DetBox(0, 0, 10, 10))
+        q = corner_table([DetBox(0, 0, 10, 10)] * 2)
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0), (1, 1)])
         # Both pairs identical: the stacked system is rank deficient but the
         # identity already fits; refinement must never make things worse.
-        h = refine_homography(g, [q, q], [q, q], [], [], MatchParams())
+        h = refine_homography(g, q, q, [], [], MatchParams())
         pts = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], float)
         assert np.abs(h.map_points(pts) - pts).max() < 1e-8
+
+    def test_empty_group_keeps_initial(self):
+        # A groups file may hold a group with no pairs: nothing to refit.
+        g = ObjectGroup(H=Homography(np.eye(3)), pairs=[])
+        none = np.empty((0, 4, 2))
+        assert refine_homography(g, none, none, [], [], MatchParams()) is g.H
+        assert not g.refined
 
 
 class TestMatchPair:

@@ -216,6 +216,23 @@ class TestParseErrors:
             formats.read_features(str(path))
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("h", ["0 0 0 0 0 0 0 0 0", "1 0 0 0 1 0 0 0 0"])
+    def test_zero_or_singular_group_homography(self, tmp_path, h):
+        path = tmp_path / "groups.txt"
+        eye = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
+        path.write_text(f"0 {eye} 1 0\n0 0\n1 {h} 1 0\n1 1\n")
+        with pytest.raises(formats.ParseError, match="homography matrix") as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == 3
+
+    def test_negative_pair_count(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
+        path.write_text(f"0 {h} -1 0\n")
+        with pytest.raises(formats.ParseError, match="negative pair count") as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == 1
+
     def test_bad_refined_flag(self, tmp_path):
         path = tmp_path / "groups.txt"
         h = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", "1"])
@@ -500,6 +517,37 @@ class TestCli:
         assert captured.err.startswith("error: invalid parameter: ")
         assert "seed must be >= 0" in captured.err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_eval_rejects_invalid_tolerance(self, tmp_path, capsys, tol):
+        scene = _write_scene(tmp_path)
+        matches = str(tmp_path / "matches.txt")
+        formats.write_matches(matches, MatchSet([Match(0, 0, 1.0, -1)], []))
+        capsys.readouterr()
+        rc = main(["eval", "--matches", matches, "--gt", f"{scene}/gt_feature_pairs.txt",
+                   "--features2", f"{scene}/b/features.txt", "--tol", tol])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: invalid parameter: tol must be >= 0"
+
+    def test_eval_rejects_unknown_feature_id(self, tmp_path, capsys):
+        # With image 2 cut to 5 features, a match to feature 7 and the
+        # ground truth's partners beyond id 4 name no feature of the file.
+        scene = _write_scene(tmp_path)
+        feats2 = f"{scene}/b/features.txt"
+        formats.write_features(feats2, formats.read_features(feats2)[:5])
+        matches = str(tmp_path / "matches.txt")
+        gt = f"{scene}/gt_feature_pairs.txt"
+        gt_j = next(j for j in formats.read_feature_pairs(gt).values() if j > 4)
+        for ms, path, j in ((MatchSet([Match(0, 7, 1.0, -1)], []), matches, 7),
+                            (MatchSet([], []), gt, gt_j)):
+            formats.write_matches(matches, ms)
+            capsys.readouterr()
+            rc = main(["eval", "--matches", matches, "--gt", gt, "--features2", feats2])
+            assert rc == EXIT_PARSE
+            err = capsys.readouterr().err.strip()
+            assert err == f"error: {path}: feature id {j} is not in {feats2}"
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["match", "--dir1", str(tmp_path / "nope1"), "--dir2", str(tmp_path / "nope2"),

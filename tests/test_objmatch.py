@@ -18,7 +18,7 @@ from objguide.objmatch import (
 )
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
 
-from test_geom import contains_points, random_convex_quad
+from test_geom import contains_points, corner_table, random_convex_quad
 
 
 def _unit(v):
@@ -37,7 +37,7 @@ def _tables(scene):
 class TestGemPool:
     def test_single_descriptor_identity(self):
         d = _unit([1.0, 2, 3, 4])
-        assert np.allclose(gem_pool(d, 3.0), d)
+        assert np.allclose(gem_pool(d[None], 3.0), d)
 
     def test_p_one_is_mean_for_nonnegative(self):
         descs = np.array([_unit([1, 0, 1, 0]), _unit([0, 1, 1, 0])])
@@ -206,7 +206,7 @@ class TestSupport:
     def test_translation_hypothesis(self):
         b1 = [self._q(0, 0), self._q(100, 0)]
         b2 = [self._q(30, 10), self._q(130, 10)]
-        h = hypothesis(b1[0], b2[0])
+        h = hypothesis(b1[0].corners, b2[0].corners)
         assert support(h, b1, b2, 0.5) == [(0, 0), (1, 1)]
 
     def test_one_to_one(self):
@@ -243,9 +243,8 @@ class TestGreedyMatch:
 
     def test_two_planes_recovered(self):
         scene = self._scene(seed=3)
-        b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
-        b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        groups = greedy_match(b1, b2, *_tables(scene), MatchParams())
+        c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
+        groups = greedy_match(c1, c2, *_tables(scene), MatchParams())
         found = {p for g in groups for p in g.pairs}
         true = set(scene.gt.box_pairs)
         assert len(found & true) / len(true) >= 0.9
@@ -253,10 +252,9 @@ class TestGreedyMatch:
 
     def test_group_invariants(self):
         scene = self._scene(seed=7, distractors=2)
-        b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
-        b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
+        c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
         params = MatchParams()
-        groups = greedy_match(b1, b2, *_tables(scene), params)
+        groups = greedy_match(c1, c2, *_tables(scene), params)
         seen1, seen2 = set(), set()
         for g in groups:
             assert g.support >= 2
@@ -267,16 +265,15 @@ class TestGreedyMatch:
                 seen2.add(j)
                 proj = QuadBox(
                     __import__("objguide.geom", fromlist=["canonical_quad_order"]).canonical_quad_order(
-                        g.H.map_points(b1[i].corners)
+                        g.H.map_points(c1[i])
                     )
                 )
-                assert quad_iou(proj, b2[j]) >= params.eps_iou
+                assert quad_iou(proj, QuadBox(c2[j])) >= params.eps_iou
 
     def test_determinism(self):
         scene = self._scene(seed=11, distractors=2)
-        b1 = [QuadBox.from_detbox(b) for b in scene.img_a.boxes]
-        b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
-        run = lambda: greedy_match(b1, b2, *_tables(scene), MatchParams())
+        c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
+        run = lambda: greedy_match(c1, c2, *_tables(scene), MatchParams())
         ga, gb = run(), run()
         assert len(ga) == len(gb)
         for x, y in zip(ga, gb):
@@ -284,4 +281,5 @@ class TestGreedyMatch:
             assert np.array_equal(x.H.m, y.H.m)
 
     def test_empty_inputs(self):
-        assert greedy_match([], [], feature_table([]), feature_table([]), MatchParams()) == []
+        none = np.empty((0, 4, 2))
+        assert greedy_match(none, none, feature_table([]), feature_table([]), MatchParams()) == []

@@ -45,6 +45,10 @@ class TestGenerate:
             assert np.array_equal(f.pos, g.pos) and np.array_equal(f.desc, g.desc)
         assert a.gt.feature_pairs == b.gt.feature_pairs
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _spec(seed=-1)
+
     def test_segments_at_least_20px(self):
         scene = generate(_spec(seed=1))
         for s in scene.img_a.segments + scene.img_b.segments:
@@ -177,3 +181,9 @@ class TestScore:
         ms = MatchSet([Match(0, 0, 1.0, -1)], [])
         rep = score(ms, feats2, self._gt({0: 0}))
         assert rep.precision == 1.0 and rep.recall == 1.0
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_invalid_tolerance_rejected(self, tol):
+        feats2 = [Feature(id=0, pos=[0, 0], desc=[1.0, 0])]
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            score([Match(0, 0, 1.0, -1)], feats2, self._gt({0: 0}), tol=tol)
