@@ -16,16 +16,7 @@ from . import io as formats
 from .guided import match_pair
 from .objmatch import DimensionMismatchError, MatchParams
 from .rectify import MODES, build_plane_rectifiers
-from .synth import (
-    GroundTruth,
-    NoiseSpec,
-    PlaneSpec,
-    SceneSpec,
-    generate,
-    score,
-    slant_p,
-    view_homography,
-)
+from .synth import PRESETS, GroundTruth, generate, preset, score
 from .vanishing import VpParams, image_vps, segment_arrays
 
 EXIT_PARSE = 2
@@ -93,12 +84,7 @@ def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
     os.makedirs(out, exist_ok=True)
     formats.write_matches(os.path.join(out, "matches.txt"), ms)
     formats.write_groups(os.path.join(out, "groups.txt"), ms.groups)
-    with open(os.path.join(out, "report.txt"), "w", encoding="ascii", newline="\n") as fh:
-        for key in (
-            "mode", "vps_1", "vps_2", "boxes_1", "boxes_2",
-            "groups", "guided_matches", "additional_matches",
-        ):
-            fh.write(f"{key} {report[key]}\n")
+    formats.write_report(os.path.join(out, "report.txt"), report)
     return report
 
 
@@ -107,12 +93,7 @@ def cmd_match(args) -> int:
     if args.jobs < 1:
         raise InvalidParameterError("invalid parameter: jobs must be >= 1")
     if args.pairs_file:
-        jobs = []
-        for no, line in formats._lines(args.pairs_file):
-            parts = line.split()
-            if len(parts) != 3:
-                raise formats.ParseError(args.pairs_file, no, "expected 'dir1 dir2 outdir'")
-            jobs.append(parts)
+        jobs = formats.read_pairs(args.pairs_file)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_one_pair, a, b, o, args, params) for a, b, o in jobs]
             reports = [f.result() for f in futures]
@@ -156,45 +137,8 @@ def cmd_rectify(args) -> int:
     return 0
 
 
-def _preset_scene(preset: str, seed: int) -> SceneSpec:
-    if preset == "single":
-        planes = [
-            PlaneSpec(
-                h_a=view_homography(scale=1.0, tx=400, ty=250, p=slant_p(15, 330)),
-                h_b=view_homography(scale=1.05, tx=430, ty=270, p=slant_p(25, 330)),
-            )
-        ]
-        noise = NoiseSpec(corner_sigma=1.0, desc_sigma=0.3, outlier_segments=10)
-        return SceneSpec(seed=seed, planes=planes, noise=noise)
-    if preset == "two-facade":
-        planes = [
-            PlaneSpec(
-                h_a=view_homography(scale=1.0, tx=80, ty=250, p=slant_p(10, 330)),
-                h_b=view_homography(scale=1.0, tx=60, ty=270, p=slant_p(20, 330)),
-            ),
-            PlaneSpec(
-                h_a=view_homography(scale=1.0, tx=760, ty=250, p=-slant_p(25, 330)),
-                h_b=view_homography(scale=0.95, tx=790, ty=260, p=-slant_p(12, 330)),
-            ),
-        ]
-        noise = NoiseSpec(corner_sigma=1.0, desc_sigma=0.3, outlier_segments=10,
-                          distractor_boxes=2)
-        return SceneSpec(seed=seed, planes=planes, noise=noise, with_rect_boxes=True)
-    if preset == "grid":
-        planes = [
-            PlaneSpec(
-                h_a=view_homography(scale=1.0, tx=350, ty=200),
-                h_b=view_homography(scale=1.0, tx=380, ty=230),
-                rows=5, cols=5, win_w=40, win_h=40, pitch_x=60, pitch_y=60,
-            )
-        ]
-        return SceneSpec(seed=seed, planes=planes, feature_mode="center",
-                         uniform_descriptor=True)
-    raise ValueError(f"unknown preset {preset!r}")
-
-
 def cmd_synth(args) -> int:
-    scene = generate(_checked(_preset_scene, preset=args.preset, seed=args.seed))
+    scene = generate(_checked(preset, name=args.preset, seed=args.seed))
     formats.write_image_dir(os.path.join(args.out, "a"), scene.img_a)
     formats.write_image_dir(os.path.join(args.out, "b"), scene.img_b)
     formats.write_feature_pairs(
@@ -212,11 +156,7 @@ def cmd_eval(args) -> int:
     for path, js in ((args.matches, [m.j for m in matches]), (args.gt, pairs.values())):
         if bad := [j for j in js if j not in ids2]:
             raise InvalidParameterError(f"{path}: feature id {bad[0]} is not in {args.features2}")
-    gt = GroundTruth(
-        box_pairs=[], box_plane_a=[], box_plane_b=[], feature_pairs=pairs,
-        plane_homographies=[], vps_a=[], vps_b=[], plane_x_extent_a=[],
-        plane_x_extent_b=[], corner_pairs=[],
-    )
+    gt = GroundTruth(feature_pairs=pairs)
     rep = _checked(score, matches=matches, feats2=feats2, gt=gt, tol=args.tol)
     print(f"precision {rep.precision}")
     print(f"recall {rep.recall}")
@@ -259,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--preset", choices=("single", "two-facade", "grid"), default="two-facade")
+    p.add_argument("--preset", choices=PRESETS, default="two-facade")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

@@ -1,7 +1,8 @@
 """Line-oriented ASCII file formats for the pipeline's inputs and outputs.
 
 One record per line, '.' decimal separator, LF endings.  Floats are written
-with repr(), which round-trips exactly, so parse(serialize(x)) == x.
+with repr(), which round-trips exactly, so parse(serialize(x)) == x.  Every
+reader parses through _fields and _build, and every writer through _write.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import re
 
 import numpy as np
 
-from .geom import DegenerateInputError, DetBox, Homography, LineSegment, QuadBox
+from .geom import DetBox, GeometryError, Homography, LineSegment, QuadBox
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature, ObjectGroup
 from .rectify import ColumnInterval, Rectifier
@@ -29,90 +30,85 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _join(values) -> str:
+    return " ".join(map(_fmt, values))
+
+
+def _write(path: str, records) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for record in records:
+            fh.write(f"{record}\n")
+
+
 def _lines(path: str):
-    with open(path, "r", encoding="ascii") as fh:
+    # A byte >= 0x80 decodes to a lone surrogate; isascii() is O(1) on ASCII.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+                raise ParseError(path, no, f"non-ASCII byte 0x{byte:02x}")
             if line.strip():
                 yield no, line
 
 
-def _floats(path: str, no: int, line: str, n: int) -> list[float]:
+def _fields(path: str, no: int, line: str, n: int, conv=float) -> list:
     parts = line.split()
     if len(parts) != n:
         raise ParseError(path, no, f"expected {n} fields, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        return [conv(p) for p in parts]
     except ValueError as exc:
+        raise ParseError(path, no, str(exc)) from exc
+
+
+def _build(path: str, no: int, make, *args):
+    try:
+        return make(*args)
+    except (ValueError, GeometryError) as exc:
         raise ParseError(path, no, str(exc)) from exc
 
 
 # -- segments ---------------------------------------------------------------
 
 def write_segments(path: str, segments: list[LineSegment]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for s in segments:
-            fh.write(f"{_fmt(s.p[0])} {_fmt(s.p[1])} {_fmt(s.q[0])} {_fmt(s.q[1])}\n")
+    _write(path, (_join([*s.p, *s.q]) for s in segments))
 
 
 def read_segments(path: str, min_len: float = 0.0) -> list[LineSegment]:
     out = []
     for no, line in _lines(path):
-        x1, y1, x2, y2 = _floats(path, no, line, 4)
-        try:
-            seg = LineSegment((x1, y1), (x2, y2))
-        except Exception as exc:
-            raise ParseError(path, no, str(exc)) from exc
-        if seg.length >= min_len:
-            out.append(seg)
-    return out
+        v = _fields(path, no, line, 4)
+        out.append(_build(path, no, LineSegment, v[:2], v[2:]))
+    return [s for s in out if s.length >= min_len]
 
 
 # -- boxes ------------------------------------------------------------------
 
 def write_boxes(path: str, boxes: list[DetBox]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for b in boxes:
-            fh.write(
-                f"{_fmt(b.xmin)} {_fmt(b.ymin)} {_fmt(b.xmax)} {_fmt(b.ymax)} {_fmt(b.score)}\n"
-            )
+    _write(path, (_join([b.xmin, b.ymin, b.xmax, b.ymax, b.score]) for b in boxes))
 
 
 def read_boxes(path: str) -> list[DetBox]:
-    out = []
-    for no, line in _lines(path):
-        vals = _floats(path, no, line, 5)
-        try:
-            out.append(DetBox(*vals))
-        except Exception as exc:
-            raise ParseError(path, no, str(exc)) from exc
-    return out
+    return [_build(path, no, DetBox, *_fields(path, no, line, 5)) for no, line in _lines(path)]
 
 
 # -- quads (with coordinate-frame tags) -------------------------------------
 
 def write_quads(path: str, quads: list[tuple[QuadBox, str]]) -> None:
     """Each record: 8 corner coords (TL TR BR BL), score, frame tag."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for q, tag in quads:
-            coords = " ".join(_fmt(v) for v in q.corners.ravel())
-            fh.write(f"{coords} {_fmt(q.score)} {tag}\n")
+    _write(path, (f"{_join([*q.corners.ravel(), q.score])} {tag}" for q, tag in quads))
 
 
 def read_quads(path: str) -> list[tuple[QuadBox, str]]:
     out = []
     for no, line in _lines(path):
-        parts = line.split()
-        if len(parts) != 10:
-            raise ParseError(path, no, f"expected 10 fields, got {len(parts)}")
-        tag = parts[9]
-        if not re.fullmatch(r"original|rect:[+-]?[0-9]+", tag):
+        *vals, tag = _fields(path, no, line, 10, str)
+        if not re.fullmatch(r"original|rect:[0-9]+", tag):
             raise ParseError(path, no, f"bad frame tag {tag!r}")
-        try:
-            vals = [float(p) for p in parts[:9]]
-            quad = QuadBox(np.array(vals[:8]).reshape(4, 2), vals[8])
-        except Exception as exc:
-            raise ParseError(path, no, str(exc)) from exc
+        quad = _build(path, no, lambda: QuadBox(
+            np.array([float(v) for v in vals[:8]]).reshape(4, 2), float(vals[8])
+        ))
         out.append((quad, tag))
     return out
 
@@ -122,146 +118,111 @@ def read_quads(path: str) -> list[tuple[QuadBox, str]]:
 def write_features(path: str, feats: list[Feature]) -> None:
     feats = sorted(feats, key=lambda f: f.id)
     dim = len(feats[0].desc) if feats else 0
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"D {dim}\n")
-        for f in feats:
-            vals = " ".join(_fmt(v) for v in f.desc)
-            fh.write(f"{_fmt(f.pos[0])} {_fmt(f.pos[1])} {vals}\n")
+    _write(path, [f"D {dim}", *(_join([*f.pos, *f.desc]) for f in feats)])
 
 
 def read_features(path: str) -> list[Feature]:
     it = _lines(path)
-    try:
-        no, header = next(it)
-    except StopIteration:
-        raise ParseError(path, 1, "missing 'D <dim>' header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "D":
+    no, header = next(it, (1, ""))
+    key, dim = _fields(path, no, header, 2, str)
+    if key != "D" or not dim.isdigit():
         raise ParseError(path, no, "malformed 'D <dim>' header")
-    try:
-        dim = int(parts[1])
-    except ValueError as exc:
-        raise ParseError(path, no, str(exc)) from exc
-    out = []
+    n, out = 2 + int(dim), []
     for no, line in it:
-        vals = _floats(path, no, line, 2 + dim)
-        try:
-            out.append(Feature(id=len(out), pos=vals[:2], desc=np.array(vals[2:])))
-        except Exception as exc:
-            raise ParseError(path, no, str(exc)) from exc
+        vals = _fields(path, no, line, n)
+        out.append(_build(path, no, Feature, len(out), vals[:2], np.array(vals[2:])))
     return out
 
 
 # -- matches ----------------------------------------------------------------
 
 def write_matches(path: str, ms: MatchSet) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for m in ms.matches:
-            fh.write(f"{m.i} {m.j} {_fmt(m.sim)} {m.group_id}\n")
+    _write(path, (f"{m.i} {m.j} {_fmt(m.sim)} {m.group_id}" for m in ms.matches))
 
 
 def read_matches(path: str) -> list[Match]:
     out = []
     for no, line in _lines(path):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError(path, no, f"expected 4 fields, got {len(parts)}")
-        try:
-            out.append(
-                Match(i=int(parts[0]), j=int(parts[1]), sim=float(parts[2]), group_id=int(parts[3]))
-            )
-        except ValueError as exc:
-            raise ParseError(path, no, str(exc)) from exc
+        i, j, sim, gid = _fields(path, no, line, 4, str)
+        out.append(_build(path, no, lambda: Match(int(i), int(j), float(sim), int(gid))))
     return out
 
 
 # -- object groups ----------------------------------------------------------
 
 def write_groups(path: str, groups: list[ObjectGroup]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for gid, g in enumerate(groups):
-            h = " ".join(_fmt(v) for v in g.H.m.ravel())
-            fh.write(f"{gid} {h} {len(g.pairs)} {int(g.refined)}\n")
-            for i, j in g.pairs:
-                fh.write(f"{i} {j}\n")
+    _write(path, (record for gid, g in enumerate(groups) for record in (
+        f"{gid} {_join(g.H.m.ravel())} {len(g.pairs)} {int(g.refined)}",
+        *(f"{i} {j}" for i, j in g.pairs),
+    )))
 
 
 def read_groups(path: str) -> list[ObjectGroup]:
     out = []
     it = _lines(path)
     for no, line in it:
-        parts = line.split()
-        if len(parts) != 12:
-            raise ParseError(path, no, f"expected 12 fields, got {len(parts)}")
+        parts = _fields(path, no, line, 12, str)
         if parts[11] not in ("0", "1"):
             raise ParseError(path, no, f"refined flag must be 0 or 1, got {parts[11]!r}")
-        try:
-            npairs = int(parts[10])
-            h = Homography(np.array([float(p) for p in parts[1:10]]).reshape(3, 3))
-        except (ValueError, DegenerateInputError) as exc:
-            raise ParseError(path, no, str(exc)) from exc
+        npairs = _build(path, no, int, parts[10])
+        h = _build(path, no, lambda: Homography(
+            np.array([float(v) for v in parts[1:10]]).reshape(3, 3)
+        ))
         if npairs < 0:
             raise ParseError(path, no, f"negative pair count {npairs}")
         pairs = []
         for _ in range(npairs):
-            try:
-                pno, pline = next(it)
-            except StopIteration:
-                raise ParseError(path, no, "truncated group record") from None
-            pp = pline.split()
-            if len(pp) != 2:
-                raise ParseError(path, pno, "expected 'i j'")
-            try:
-                pairs.append((int(pp[0]), int(pp[1])))
-            except ValueError as exc:
-                raise ParseError(path, pno, str(exc)) from exc
+            pno, pline = next(it, (no, None))
+            if pline is None:
+                raise ParseError(path, no, "truncated group record")
+            i, j = _fields(path, pno, pline, 2, int)
+            if i < 0 or j < 0:
+                raise ParseError(path, pno, f"negative box index in pair {i} {j}")
+            pairs.append((i, j))
         out.append(ObjectGroup(H=h, pairs=pairs, refined=parts[11] == "1"))
     return out
 
 
-# -- rectifiers & intervals -------------------------------------------------
+# -- rectifiers, intervals, vanishing points, reports -----------------------
 
 def write_rectifiers(path: str, rectifiers: list[Rectifier]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for r in rectifiers:
-            h = " ".join(_fmt(v) for v in r.H.m.ravel())
-            fh.write(f"{r.plane_id} {h}\n")
+    _write(path, (f"{r.plane_id} {_join(r.H.m.ravel())}" for r in rectifiers))
 
 
 def write_intervals(path: str, intervals: list[ColumnInterval]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for iv in intervals:
-            fh.write(f"{iv.lo} {iv.hi} {iv.plane_id}\n")
+    _write(path, (f"{iv.lo} {iv.hi} {iv.plane_id}" for iv in intervals))
 
 
 def write_vps(path: str, vps: list[VanishingPoint]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for vp in vps:
-            p = vp.point
-            fh.write(
-                f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])} {vp.orientation or 'unclassified'} {vp.support}\n"
-            )
+    _write(path, (f"{_join(vp.point)} {vp.orientation or 'unclassified'} {vp.support}"
+                  for vp in vps))
 
 
-# -- ground truth (synthetic scenes) ----------------------------------------
+def write_report(path: str, report: dict) -> None:
+    keys = ("mode", "vps_1", "vps_2", "boxes_1", "boxes_2",
+            "groups", "guided_matches", "additional_matches")
+    _write(path, (f"{key} {report[key]}" for key in keys))
+
+
+# -- ground truth (synthetic scenes) and batch pair lists -------------------
 
 def write_feature_pairs(path: str, pairs: dict[int, int]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for i in sorted(pairs):
-            fh.write(f"{i} {pairs[i]}\n")
+    _write(path, (f"{i} {pairs[i]}" for i in sorted(pairs)))
 
 
 def read_feature_pairs(path: str) -> dict[int, int]:
     out = {}
     for no, line in _lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(path, no, "expected 'i j'")
-        try:
-            out[int(parts[0])] = int(parts[1])
-        except ValueError as exc:
-            raise ParseError(path, no, str(exc)) from exc
+        i, j = _fields(path, no, line, 2, int)
+        if i in out:
+            raise ParseError(path, no, f"repeated feature id {i}")
+        out[i] = j
     return out
+
+
+def read_pairs(path: str) -> list[list[str]]:
+    """Batch pair list: one 'dir1 dir2 outdir' record per line."""
+    return [_fields(path, no, line, 3, str) for no, line in _lines(path)]
 
 
 # -- whole-image bundles ----------------------------------------------------
@@ -270,31 +231,20 @@ def write_image_dir(dirpath: str, img: ImageInputs) -> None:
     os.makedirs(dirpath, exist_ok=True)
     write_segments(os.path.join(dirpath, "segments.txt"), img.segments)
     write_boxes(os.path.join(dirpath, "boxes.txt"), img.boxes)
-    quads = [
-        (QuadBox.from_detbox(b), f"rect:{plane}") for plane, b in img.rect_boxes
-    ]
+    quads = [(QuadBox.from_detbox(b), f"rect:{plane}") for plane, b in img.rect_boxes]
     write_quads(os.path.join(dirpath, "quads.txt"), quads)
     write_features(os.path.join(dirpath, "features.txt"), img.features)
-    with open(os.path.join(dirpath, "dims.txt"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{img.width} {img.height}\n")
+    _write(os.path.join(dirpath, "dims.txt"), [f"{img.width} {img.height}"])
 
 
 def read_image_dir(dirpath: str, min_seg_len: float = 0.0) -> ImageInputs:
     dims_path = os.path.join(dirpath, "dims.txt")
-    for no, line in _lines(dims_path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(dims_path, no, "expected 'width height'")
-        try:
-            width, height = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(dims_path, no, str(exc)) from exc
-        if width < 1 or height < 1:
-            raise ParseError(dims_path, no, "width and height must be >= 1")
-        break
-    else:
-        raise ParseError(dims_path, 1, "empty dims file")
-
+    (no, line), *extra = list(_lines(dims_path)) or [(1, "")]
+    width, height = _fields(dims_path, no, line, 2, int)
+    if width < 1 or height < 1:
+        raise ParseError(dims_path, no, "width and height must be >= 1")
+    if extra:
+        raise ParseError(dims_path, extra[0][0], "expected one 'width height' record")
     segments = read_segments(os.path.join(dirpath, "segments.txt"), min_seg_len)
     boxes = read_boxes(os.path.join(dirpath, "boxes.txt"))
     quads_path = os.path.join(dirpath, "quads.txt")
@@ -304,8 +254,7 @@ def read_image_dir(dirpath: str, min_seg_len: float = 0.0) -> ImageInputs:
             if tag == "original":
                 boxes.append(_quad_hull(quad))
             else:
-                plane = int(tag.split(":", 1)[1])
-                rect_boxes.append((plane, _quad_hull(quad)))
+                rect_boxes.append((int(tag.removeprefix("rect:")), _quad_hull(quad)))
     features = read_features(os.path.join(dirpath, "features.txt"))
     return ImageInputs(
         width=width, height=height, segments=segments, boxes=boxes,
@@ -314,6 +263,5 @@ def read_image_dir(dirpath: str, min_seg_len: float = 0.0) -> ImageInputs:
 
 
 def _quad_hull(quad: QuadBox) -> DetBox:
-    lo = quad.corners.min(axis=0)
-    hi = quad.corners.max(axis=0)
-    return DetBox(lo[0], lo[1], hi[0], hi[1], quad.score)
+    (x0, y0), (x1, y1) = quad.corners.min(axis=0), quad.corners.max(axis=0)
+    return DetBox(x0, y0, x1, y1, quad.score)

@@ -86,10 +86,6 @@ class ObjectGroup:
     pairs: list[tuple[int, int]]
     refined: bool = False
 
-    @property
-    def support(self) -> int:
-        return len(self.pairs)
-
 
 def gem_pool(descs: np.ndarray, p: float) -> np.ndarray:
     """Generalized-mean pooling of unit descriptors (N, D), re-normalized.

@@ -87,16 +87,16 @@ class SceneSpec:
 
 @dataclass
 class GroundTruth:
-    box_pairs: list[tuple[int, int]]
-    box_plane_a: list[int]  # plane id per view-a box, -1 for distractors
-    box_plane_b: list[int]
+    """Planted correspondences; score reads only feature_pairs."""
+
     feature_pairs: dict[int, int]
-    plane_homographies: list[Homography]  # view a -> view b, per plane
-    vps_a: list[tuple[np.ndarray, np.ndarray]]  # (vp_h, vp_v) per plane
-    vps_b: list[tuple[np.ndarray, np.ndarray]]
-    plane_x_extent_a: list[tuple[float, float]]  # projected column span
-    plane_x_extent_b: list[tuple[float, float]]
-    corner_pairs: list[np.ndarray]  # per plane: (n, 4) rows x1 y1 x2 y2
+    box_pairs: list[tuple[int, int]] = field(default_factory=list)
+    box_plane_a: list[int] = field(default_factory=list)  # plane per view-a box, -1 distractor
+    box_plane_b: list[int] = field(default_factory=list)
+    plane_homographies: list[Homography] = field(default_factory=list)  # view a -> b, per plane
+    vps_a: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (vp_h, vp_v)
+    vps_b: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    corner_pairs: list[np.ndarray] = field(default_factory=list)  # per plane: (n, 4) x1 y1 x2 y2
 
 
 @dataclass
@@ -104,6 +104,47 @@ class Scene:
     img_a: ImageInputs
     img_b: ImageInputs
     gt: GroundTruth
+
+
+PRESETS = ("single", "two-facade", "grid")
+
+
+def preset(name: str, seed: int) -> SceneSpec:
+    """The scene of one of the named PRESETS, the CLI's `synth --preset`."""
+    if name == "single":
+        planes = [
+            PlaneSpec(
+                h_a=view_homography(scale=1.0, tx=400, ty=250, p=slant_p(15, 330)),
+                h_b=view_homography(scale=1.05, tx=430, ty=270, p=slant_p(25, 330)),
+            )
+        ]
+        noise = NoiseSpec(corner_sigma=1.0, desc_sigma=0.3, outlier_segments=10)
+        return SceneSpec(seed=seed, planes=planes, noise=noise)
+    if name == "two-facade":
+        planes = [
+            PlaneSpec(
+                h_a=view_homography(scale=1.0, tx=80, ty=250, p=slant_p(10, 330)),
+                h_b=view_homography(scale=1.0, tx=60, ty=270, p=slant_p(20, 330)),
+            ),
+            PlaneSpec(
+                h_a=view_homography(scale=1.0, tx=760, ty=250, p=-slant_p(25, 330)),
+                h_b=view_homography(scale=0.95, tx=790, ty=260, p=-slant_p(12, 330)),
+            ),
+        ]
+        noise = NoiseSpec(corner_sigma=1.0, desc_sigma=0.3, outlier_segments=10,
+                          distractor_boxes=2)
+        return SceneSpec(seed=seed, planes=planes, noise=noise, with_rect_boxes=True)
+    if name == "grid":
+        planes = [
+            PlaneSpec(
+                h_a=view_homography(scale=1.0, tx=350, ty=200),
+                h_b=view_homography(scale=1.0, tx=380, ty=230),
+                rows=5, cols=5, win_w=40, win_h=40, pitch_x=60, pitch_y=60,
+            )
+        ]
+        return SceneSpec(seed=seed, planes=planes, feature_mode="center",
+                         uniform_descriptor=True)
+    raise ValueError(f"unknown preset {name!r}")
 
 
 def _window_world_corners(plane: PlaneSpec) -> list[np.ndarray]:
@@ -209,7 +250,6 @@ def generate(spec: SceneSpec) -> Scene:
     box_plane_a: list[int] = []
     box_plane_b: list[int] = []
     vps_a, vps_b = [], []
-    ext_a, ext_b = [], []
     plane_h = []
     corner_pairs = []
     window_proj: list[tuple[np.ndarray, np.ndarray]] = []
@@ -234,13 +274,6 @@ def generate(spec: SceneSpec) -> Scene:
         plane_segs_b = _plane_segments(plane, h_b, rng, noise.segment_angle_noise)
         segs_a.extend(plane_segs_a)
         segs_b.extend(plane_segs_b)
-
-        w_ext, h_ext = plane.extent
-        facade = np.array([[0, 0], [w_ext, 0], [w_ext, h_ext], [0, h_ext]], dtype=float)
-        fa = _project(h_a, facade)
-        fb = _project(h_b, facade)
-        ext_a.append((float(fa[:, 0].min()), float(fa[:, 0].max())))
-        ext_b.append((float(fb[:, 0].min()), float(fb[:, 0].max())))
 
         cpairs = []
         for quad in _window_world_corners(plane):
@@ -352,8 +385,6 @@ def generate(spec: SceneSpec) -> Scene:
         plane_homographies=plane_h,
         vps_a=vps_a,
         vps_b=vps_b,
-        plane_x_extent_a=ext_a,
-        plane_x_extent_b=ext_b,
         corner_pairs=corner_pairs,
     )
     return Scene(img_a=img_a, img_b=img_b, gt=gt)

@@ -309,7 +309,7 @@ def test_criterion_6_greedy_object_matching():
         )
         seen1, seen2 = set(), set()
         for g in groups:
-            assert g.support == len(g.pairs) >= 2
+            assert len(g.pairs) >= 2
             assert g.pairs == sorted(g.pairs)
             for i, j in g.pairs:
                 assert i not in seen1 and j not in seen2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from objguide.boxes import adjust_box, vote_box_vps
-from objguide.cli import _preset_scene
+from objguide import synth
 from objguide.geom import DegenerateInputError, DetBox, LineSegment, QuadBox
 from objguide.synth import (
     PlaneSpec,
@@ -177,7 +177,7 @@ class TestVoteBoxVpsReference:
         params = VpParams()
         local = 0
         for seed in (0, 1):
-            scene = generate(_preset_scene(preset, seed))
+            scene = generate(synth.preset(preset, seed))
             for img in (scene.img_a, scene.img_b):
                 table = segment_arrays(img.segments)
                 vps = image_vps(table, img.width, img.height, params)
@@ -268,7 +268,7 @@ class TestAdjustBoxReference:
         params = VpParams()
         n = 0
         for seed in (0, 1):
-            scene = generate(_preset_scene(preset, seed))
+            scene = generate(synth.preset(preset, seed))
             for img in (scene.img_a, scene.img_b):
                 table = segment_arrays(img.segments)
                 vps = image_vps(table, img.width, img.height, params)

@@ -12,7 +12,7 @@ and the same kept detections.
 import numpy as np
 import pytest
 
-from objguide.cli import _preset_scene
+from objguide import synth
 from objguide.geom import (
     DegenerateInputError,
     DetBox,
@@ -142,7 +142,7 @@ def test_criterion_6_scenes_match_reference(seed):
 
 @pytest.mark.parametrize("preset", ["two-facade", "grid"])
 def test_cli_presets_match_reference(preset):
-    scene = generate(_preset_scene(preset, 0))
+    scene = generate(synth.preset(preset, 0))
     b1, b2 = _scene_boxes(scene)
     groups = _assert_same_groups(b1, b2, scene.img_a.features, scene.img_b.features)
     assert groups
@@ -175,7 +175,7 @@ def test_quad_projected_to_infinity():
 
 
 def test_featureless_image_matches_reference():
-    scene = generate(_preset_scene("two-facade", 1))
+    scene = generate(synth.preset("two-facade", 1))
     b1, b2 = _scene_boxes(scene)
     groups = _assert_same_groups(b1, b2, scene.img_a.features, [])
     assert groups
@@ -192,7 +192,7 @@ def _reference_merge(pool):
 
 def test_merge_detections_matches_brute_force_dedup():
     rng = np.random.default_rng(5)
-    scene = generate(_preset_scene("two-facade", 2))
+    scene = generate(synth.preset("two-facade", 2))
 
     def jittered(sigma):
         out = []

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from objguide.cli import _preset_scene
+from objguide import synth
 from objguide.geom import DetBox, Homography, _at_infinity
 from objguide.guided import (
     SIM_THRESH,
@@ -442,14 +442,14 @@ class TestMatchPair:
 
     def test_repeated_feature_ids_rejected(self):
         # Ids that collide would silently merge features into one row.
-        scene = generate(_preset_scene("single", 0))
+        scene = generate(synth.preset("single", 0))
         feats = [replace(f, id=f.id % 10) for f in scene.img_a.features]
         with pytest.raises(ValueError, match="repeated feature id"):
             match_pair(replace(scene.img_a, features=feats), scene.img_b)
 
     def test_descriptor_lengths_differ_between_images(self, monkeypatch):
         # Rejected before either image's vanishing points are estimated.
-        scene = generate(_preset_scene("single", 0))
+        scene = generate(synth.preset("single", 0))
         shorter = [replace(f, desc=_unit(f.desc[:64])) for f in scene.img_b.features]
         calls, image_vps = [], guided.image_vps
         monkeypatch.setattr(guided, "image_vps", lambda *a: calls.append(a) or image_vps(*a))
@@ -458,14 +458,14 @@ class TestMatchPair:
         assert calls == []
 
     def test_descriptor_lengths_differ_within_an_image(self):
-        scene = generate(_preset_scene("single", 0))
+        scene = generate(synth.preset("single", 0))
         feats = list(scene.img_a.features)
         feats[3] = replace(feats[3], desc=_unit(feats[3].desc[:64]))
         with pytest.raises(DimensionMismatchError):
             match_pair(replace(scene.img_a, features=feats), scene.img_b)
 
     def test_one_segment_table_per_image(self, monkeypatch):
-        scene = generate(_preset_scene("two-facade", 0))
+        scene = generate(synth.preset("two-facade", 0))
         tables = []
 
         def counted(segments):

@@ -6,8 +6,8 @@ import pytest
 from objguide import io as formats
 from objguide.cli import EXIT_DIMENSION, EXIT_PARSE, main
 from objguide.geom import DetBox, Homography, LineSegment, QuadBox
-from objguide.guided import Match, MatchSet
-from objguide.objmatch import Feature, ObjectGroup
+from objguide.guided import Match, MatchSet, match_pair
+from objguide.objmatch import Feature, MatchParams, ObjectGroup
 from objguide.rectify import ColumnInterval, Rectifier, build_plane_rectifiers
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
 from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams, image_vps, segment_arrays
@@ -242,6 +242,148 @@ class TestParseErrors:
         assert exc.value.line_no == 1
 
 
+EYE = "1 0 0 0 1 0 0 0 1"
+
+
+def _read_dims(path):
+    # dims.txt is read before any other file of the image directory.
+    return formats.read_image_dir(os.path.dirname(path))
+
+
+# (reader, file name, good records before the bad one, bad record)
+MALFORMED = {
+    "segments-count": (formats.read_segments, "segments.txt", ["0 0 10 5"], "0 0 10"),
+    "segments-text": (formats.read_segments, "segments.txt", ["0 0 10 5"], "0 0 x 5"),
+    "segments-value": (formats.read_segments, "segments.txt", ["0 0 10 5"], "3 4 3 4"),
+    "boxes-count": (formats.read_boxes, "boxes.txt", ["0 0 10 5 0.5"], "0 0 10 5"),
+    "boxes-text": (formats.read_boxes, "boxes.txt", ["0 0 10 5 0.5"], "0 0 10 y 0.5"),
+    "boxes-value": (formats.read_boxes, "boxes.txt", ["0 0 10 5 0.5"], "0 0 10 5 1.5"),
+    "quads-count": (formats.read_quads, "quads.txt", ["0 0 1 0 1 1 0 1 0.5 original"],
+                    "0 0 1 0 1 1 0 1 original"),
+    "quads-text": (formats.read_quads, "quads.txt", ["0 0 1 0 1 1 0 1 0.5 original"],
+                   "0 0 1 0 1 z 0 1 0.5 original"),
+    "quads-value": (formats.read_quads, "quads.txt", ["0 0 1 0 1 1 0 1 0.5 original"],
+                    "0 0 1 1 1 0 0 1 0.5 rect:0"),
+    "features-count": (formats.read_features, "features.txt", ["D 2", "1 2 0.6 0.8"],
+                       "1 2 0.6"),
+    "features-text": (formats.read_features, "features.txt", ["D 2", "1 2 0.6 0.8"],
+                      "1 2 0.6 w"),
+    "features-value": (formats.read_features, "features.txt", ["D 2", "1 2 0.6 0.8"],
+                       "1 2 0.6 0.6"),
+    "matches-count": (formats.read_matches, "matches.txt", ["0 3 0.5 0"], "0 3 0.5"),
+    "matches-text": (formats.read_matches, "matches.txt", ["0 3 0.5 0"], "0 x 0.5 0"),
+    "matches-value": (formats.read_matches, "matches.txt", ["0 3 0.5 0"], "0 3.5 0.5 0"),
+    "groups-count": (formats.read_groups, "groups.txt", [f"0 {EYE} 1 0", "0 0"], f"1 {EYE} 1"),
+    "groups-text": (formats.read_groups, "groups.txt", [f"0 {EYE} 1 0", "0 0"],
+                    f"1 {EYE} x 0"),
+    "groups-value": (formats.read_groups, "groups.txt", [f"0 {EYE} 1 0", "0 0"],
+                     "1 1 2 3 2 4 6 0 0 1 1 0"),
+    "feature-pairs-count": (formats.read_feature_pairs, "gt.txt", ["0 4"], "1"),
+    "feature-pairs-text": (formats.read_feature_pairs, "gt.txt", ["0 4"], "1 b"),
+    "feature-pairs-value": (formats.read_feature_pairs, "gt.txt", ["0 4"], "1 2.5"),
+    "dims-count": (_read_dims, "dims.txt", [], "1280"),
+    "dims-text": (_read_dims, "dims.txt", [], "1280 h"),
+    "dims-value": (_read_dims, "dims.txt", [], "1280 0"),
+    "pairs-count": (formats.read_pairs, "pairs.txt", ["a/x a/y out0"], "a/x a/y"),
+}
+
+
+class TestRecordRules:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_record(self, tmp_path, case):
+        read, name, good, bad = MALFORMED[case]
+        path = tmp_path / name
+        path.write_text("".join(f"{line}\n" for line in [*good, bad]))
+        with pytest.raises(formats.ParseError) as exc:
+            read(str(path))
+        assert exc.value.path == str(path)
+        assert exc.value.line_no == len(good) + 1
+
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "boxes.txt"
+        path.write_bytes(b"0 0 10 5 0.5\n0 0 10 5 0.5 caf\xe9\n")
+        with pytest.raises(formats.ParseError, match="non-ASCII byte 0xe9") as exc:
+            formats.read_boxes(str(path))
+        assert exc.value.line_no == 2
+
+    def test_non_ascii_byte_exit_code(self, tmp_path, capsys):
+        scene = _write_scene(tmp_path)
+        n = len(formats.read_boxes(f"{scene}/a/boxes.txt"))
+        with open(f"{scene}/a/boxes.txt", "ab") as fh:
+            fh.write(b"\xe9\n")
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {scene}/a/boxes.txt:{n + 1}: non-ASCII byte 0xe9"]
+
+    def test_crlf_reads_as_lf(self, tmp_path):
+        scene = _write_scene(tmp_path)
+        lf = formats.read_image_dir(f"{scene}/a")
+        for name in os.listdir(f"{scene}/a"):
+            path = f"{scene}/a/{name}"
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b"\n", b"\r\n"))
+        crlf = formats.read_image_dir(f"{scene}/a")
+        assert (crlf.width, crlf.height) == (lf.width, lf.height)
+        assert [(s.p.tolist(), s.q.tolist()) for s in crlf.segments] == [
+            (s.p.tolist(), s.q.tolist()) for s in lf.segments]
+        assert crlf.boxes == lf.boxes and crlf.rect_boxes == lf.rect_boxes
+        assert [(f.id, f.pos.tolist(), f.desc.tolist()) for f in crlf.features] == [
+            (f.id, f.pos.tolist(), f.desc.tolist()) for f in lf.features]
+
+    def test_second_dims_record(self, tmp_path):
+        scene = _write_scene(tmp_path)
+        with open(f"{scene}/a/dims.txt", "a") as fh:
+            fh.write("5 5\n")
+        with pytest.raises(formats.ParseError) as exc:
+            formats.read_image_dir(f"{scene}/a")
+        assert exc.value.path.endswith("dims.txt") and exc.value.line_no == 2
+
+    def test_repeated_feature_pair(self, tmp_path):
+        path = tmp_path / "gt_feature_pairs.txt"
+        path.write_text("0 4\n0 5\n")
+        with pytest.raises(formats.ParseError, match="repeated feature id 0") as exc:
+            formats.read_feature_pairs(str(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("text", ["D -2\n", "D -1\n0.5\n"])
+    def test_negative_descriptor_length(self, tmp_path, text):
+        path = tmp_path / "features.txt"
+        path.write_text(text)
+        with pytest.raises(formats.ParseError, match="'D <dim>' header") as exc:
+            formats.read_features(str(path))
+        assert exc.value.line_no == 1
+
+    def test_negative_group_box_index(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        path.write_text(f"0 {EYE} 2 0\n0 0\n-1 -7\n")
+        with pytest.raises(formats.ParseError, match="negative box index") as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == 3
+
+    def test_negative_quad_plane(self, tmp_path):
+        path = tmp_path / "quads.txt"
+        path.write_text("0 0 1 0 1 1 0 1 0.5 rect:0\n0 0 1 0 1 1 0 1 0.5 rect:-3\n")
+        with pytest.raises(formats.ParseError, match="bad frame tag") as exc:
+            formats.read_quads(str(path))
+        assert exc.value.line_no == 2
+
+    def test_only_rejections_become_parse_errors(self, tmp_path, monkeypatch):
+        # A fault inside a constructor is not an input error: it propagates.
+        def broken(*args):
+            raise RuntimeError("constructor fault")
+
+        path = tmp_path / "segments.txt"
+        path.write_text("0 0 10 5\n")
+        monkeypatch.setattr(formats, "LineSegment", broken)
+        with pytest.raises(RuntimeError, match="constructor fault"):
+            formats.read_segments(str(path))
+
+
 def _write_scene(tmp_path, seed=0):
     out = str(tmp_path / f"scene{seed}")
     assert main(["synth", "--out", out, "--preset", "single", "--seed", str(seed)]) == 0
@@ -273,6 +415,20 @@ class TestCli:
             with open(f"{out}/matches.txt", "rb") as fh:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
+
+    def test_report_file_is_match_pair_report(self, tmp_path):
+        scene = str(tmp_path / "scene")
+        assert main(["synth", "--out", scene, "--preset", "two-facade", "--seed", "0"]) == 0
+        out = tmp_path / "out"
+        assert main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b", "--out", str(out),
+                     "--mode", "(O+R)A"]) == 0
+        imgs = [formats.read_image_dir(f"{scene}/{side}", min_seg_len=20.0) for side in "ab"]
+        _ms, report = match_pair(*imgs, MatchParams(), VpParams(), mode="(O+R)A")
+        keys = ["mode", "vps_1", "vps_2", "boxes_1", "boxes_2",
+                "groups", "guided_matches", "additional_matches"]
+        assert sorted(report) == sorted(keys)
+        assert out.joinpath("report.txt").read_text() == "".join(
+            f"{k} {report[k]}\n" for k in keys)
 
     def test_batch_serial_equals_parallel(self, tmp_path):
         scenes = [_write_scene(tmp_path, seed=s) for s in (0, 1, 2)]

@@ -257,7 +257,7 @@ class TestGreedyMatch:
         groups = greedy_match(c1, c2, *_tables(scene), params)
         seen1, seen2 = set(), set()
         for g in groups:
-            assert g.support >= 2
+            assert len(g.pairs) >= 2
             assert not g.refined
             for i, j in g.pairs:
                 assert i not in seen1 and j not in seen2

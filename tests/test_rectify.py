@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from objguide.cli import _preset_scene
+from objguide import synth
 from objguide.geom import (
     DegenerateInputError,
     DetBox,
@@ -190,7 +190,7 @@ class TestTableRowsFit:
         # Every facade rectifier fitted on table rows equals the list fit on
         # the same on-plane segments, byte for byte.
         params = VpParams()
-        scene = generate(_preset_scene("two-facade", seed))
+        scene = generate(synth.preset("two-facade", seed))
         fitted = 0
         for img in (scene.img_a, scene.img_b):
             table = segment_arrays(img.segments)

@@ -153,11 +153,7 @@ class TestRasterIou:
 
 class TestScore:
     def _gt(self, pairs):
-        return GroundTruth(
-            box_pairs=[], box_plane_a=[], box_plane_b=[], feature_pairs=pairs,
-            plane_homographies=[], vps_a=[], vps_b=[], plane_x_extent_a=[],
-            plane_x_extent_b=[], corner_pairs=[],
-        )
+        return GroundTruth(feature_pairs=pairs)
 
     def test_exact_and_tolerant(self):
         feats2 = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from objguide.cli import _preset_scene
+from objguide import synth
 from objguide.geom import LineSegment, _at_infinity
 from objguide.synth import generate, pencil_segments
 from objguide.vanishing import (
@@ -68,7 +68,7 @@ class TestResidualAngle:
         # angle computed from that segment and point alone.
         rng = np.random.default_rng(0)
         for seed in (0, 1):
-            img = generate(_preset_scene("two-facade", seed)).img_a
+            img = generate(synth.preset("two-facade", seed)).img_a
             table = segment_arrays(img.segments)
             _, _, dirs, mids, _ = table
             vps = [vp.point for vp in image_vps(table, img.width, img.height, VpParams())]
@@ -251,7 +251,7 @@ def _reference_estimate_vps(segments, params):
 @pytest.mark.parametrize("preset", ["two-facade", "grid"])
 @pytest.mark.parametrize("scene_seed", [0, 1])
 def test_estimate_vps_matches_full_matrix_reference(preset, scene_seed):
-    scene = generate(_preset_scene(preset, scene_seed))
+    scene = generate(synth.preset(preset, scene_seed))
     for img in (scene.img_a, scene.img_b):
         for rng_seed in range(3):
             for thresh in (1.0, 2.0, 3.0):
@@ -314,7 +314,7 @@ class TestTwoFacadeVps:
         "into one at x ~ -6460; the planted ones are at x ~ 43000 and x ~ -5785",
     )
     def test_each_facade_gets_its_horizontal_vp(self):
-        scene = generate(_preset_scene("two-facade", 0))
+        scene = generate(synth.preset("two-facade", 0))
         img = scene.img_a
         center = np.array([img.width / 2.0, img.height / 2.0])
         found = [
