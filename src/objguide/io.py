@@ -144,7 +144,10 @@ def read_matches(path: str) -> list[Match]:
     out = []
     for no, line in _lines(path):
         i, j, sim, gid = _fields(path, no, line, 4, str)
-        out.append(_build(path, no, lambda: Match(int(i), int(j), float(sim), int(gid))))
+        m = _build(path, no, lambda: Match(int(i), int(j), float(sim), int(gid)))
+        if m.i < 0 or m.j < 0 or m.group_id < -1:
+            raise ParseError(path, no, f"negative feature id or group id below -1 in {line!r}")
+        out.append(m)
     return out
 
 
@@ -162,6 +165,8 @@ def read_groups(path: str) -> list[ObjectGroup]:
     it = _lines(path)
     for no, line in it:
         parts = _fields(path, no, line, 12, str)
+        if parts[0] != str(len(out)):
+            raise ParseError(path, no, f"group id must be {len(out)}, got {parts[0]!r}")
         if parts[11] not in ("0", "1"):
             raise ParseError(path, no, f"refined flag must be 0 or 1, got {parts[11]!r}")
         npairs = _build(path, no, int, parts[10])

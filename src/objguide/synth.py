@@ -83,6 +83,8 @@ class SceneSpec:
     def __post_init__(self):
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        if self.feature_mode not in ("corners+center", "center"):
+            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
 
 
 @dataclass
@@ -95,7 +97,6 @@ class GroundTruth:
     box_plane_b: list[int] = field(default_factory=list)
     plane_homographies: list[Homography] = field(default_factory=list)  # view a -> b, per plane
     vps_a: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)  # (vp_h, vp_v)
-    vps_b: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     corner_pairs: list[np.ndarray] = field(default_factory=list)  # per plane: (n, 4) x1 y1 x2 y2
 
 
@@ -151,17 +152,11 @@ def _window_world_corners(plane: PlaneSpec) -> list[np.ndarray]:
     out = []
     for r in range(plane.rows):
         for c in range(plane.cols):
-            if plane.win_sizes:
-                w, h = plane.win_sizes[(r + c) % len(plane.win_sizes)]
-            else:
-                w, h = plane.win_w, plane.win_h
+            sizes = plane.win_sizes or [(plane.win_w, plane.win_h)]
+            w, h = sizes[(r + c) % len(sizes)]
             x0 = c * plane.pitch_x + (plane.pitch_x - w) / 2.0
             y0 = r * plane.pitch_y + (plane.pitch_y - h) / 2.0
-            out.append(
-                np.array(
-                    [[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]
-                )
-            )
+            out.append(np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]]))
     return out
 
 
@@ -177,39 +172,53 @@ def _rotate_about_mid(seg: LineSegment, deg: float) -> LineSegment:
     return LineSegment(m + rot @ (seg.p - m), m + rot @ (seg.q - m))
 
 
-def _plane_segments(plane: PlaneSpec, h: np.ndarray, rng, noise_deg: float) -> list[LineSegment]:
-    """Window edges plus full-width/height facade lines, projected."""
-    w_ext, h_ext = plane.extent
-    segs = []
-    for quad in _window_world_corners(plane):
-        for a, b in ((0, 1), (3, 2), (0, 3), (1, 2)):
-            segs.append((quad[a], quad[b]))
-    for r in range(plane.rows + 1):
-        y = min(r * plane.pitch_y, h_ext)
-        segs.append((np.array([0.0, y]), np.array([w_ext, y])))
-    for c in range(plane.cols + 1):
-        x = min(c * plane.pitch_x, w_ext)
-        segs.append((np.array([x, 0.0]), np.array([x, h_ext])))
+def _plant_view(
+    plane: PlaneSpec,
+    h: np.ndarray,
+    rng: np.random.Generator | None,
+    noise_deg: float = 0.0,
+    feature_mode: str = "corners+center",
+) -> tuple[list[LineSegment], list[np.ndarray], list[np.ndarray]]:
+    """Plant one facade into one view through its facade-to-image homography h.
 
-    out = []
-    for a, b in segs:
-        pts = _project(h, np.vstack([a, b]))
-        if np.linalg.norm(pts[1] - pts[0]) < 20.0:
+    Returns the view's segments, window quads (4, 2) and feature points (2,).
+    The segments are the window edges plus the full-width and full-height
+    facade lines; one shorter than 20 px is dropped, and each kept one is
+    turned about its midpoint by a uniform draw in +-noise_deg degrees, the
+    only draws made (rng may be None when noise_deg is 0).  The feature
+    points are each window's corners and centre, or its centre alone in
+    feature_mode "center".
+    """
+    w_ext, h_ext = plane.extent
+    windows = _window_world_corners(plane)
+    ends = [(q[i], q[j]) for q in windows for i, j in ((0, 1), (3, 2), (0, 3), (1, 2))]
+    ends += [(np.array([0.0, r * plane.pitch_y]), np.array([w_ext, r * plane.pitch_y]))
+             for r in range(plane.rows + 1)]
+    ends += [(np.array([c * plane.pitch_x, 0.0]), np.array([c * plane.pitch_x, h_ext]))
+             for c in range(plane.cols + 1)]
+    segs = []
+    for a, b in ends:
+        p, q = _project(h, np.vstack([a, b]))
+        if np.linalg.norm(q - p) < 20.0:
             continue
-        seg = LineSegment(pts[0], pts[1])
+        seg = LineSegment(p, q)
         if noise_deg > 0:
             seg = _rotate_about_mid(seg, rng.uniform(-noise_deg, noise_deg))
-        out.append(seg)
-    return out
+        segs.append(seg)
+    quads = [_project(h, q) for q in windows]
+    if feature_mode == "corners+center":
+        world_pts = [p for q in windows for p in (*q, q.mean(axis=0))]
+    else:
+        world_pts = [q.mean(axis=0) for q in windows]
+    return segs, quads, [_project(h, p[None, :])[0] for p in world_pts]
 
 
-def _feature_world_points(plane: PlaneSpec, mode: str) -> list[np.ndarray]:
-    pts = []
-    for quad in _window_world_corners(plane):
-        if mode == "corners+center":
-            pts.extend(list(quad))
-        pts.append(quad.mean(axis=0))
-    return pts
+def _outlier_segment(rng: np.random.Generator, width: int, height: int) -> LineSegment:
+    """A segment of random position, direction and length in the image."""
+    mid = rng.uniform([0, 0], [width, height])
+    ang = rng.uniform(0, np.pi)
+    half = rng.uniform(15, 35) * np.array([np.cos(ang), np.sin(ang)])
+    return LineSegment(mid - half, mid + half)
 
 
 def _distractor_boxes(rng, corner: str, count: int, width: int, height: int) -> list[DetBox]:
@@ -235,27 +244,67 @@ def _noisy_hull(p: np.ndarray, rng, sigma: float) -> DetBox:
     return DetBox(lo[0], lo[1], hi[0], hi[1], float(rng.uniform(0.6, 1.0)))
 
 
+def _rect_boxes(
+    segments: list[LineSegment], quads: list[np.ndarray], rng: np.random.Generator,
+    spec: SceneSpec,
+) -> list[tuple[int, DetBox]]:
+    """One view's R stream: a detector run on the pipeline-rectified images.
+
+    The rectified frames are the ones the pipeline itself reconstructs from
+    the view's segments, so backprojection inverts them exactly.  A window
+    quad gets a noisy hull in the frame of the facade whose column interval
+    holds its centre, and no box when there is none.
+    """
+    table = segment_arrays(segments)
+    vps = image_vps(table, spec.width, spec.height, VpParams())
+    rectifiers, intervals = build_plane_rectifiers(table, vps, spec.width, spec.height, VpParams())
+    out = []
+    for p in quads:
+        cx = float(p[:, 0].mean())
+        for facade_id, iv in enumerate(intervals):
+            if iv.lo <= cx < iv.hi and rectifiers[facade_id] is not None:
+                mapped = rectifiers[facade_id].H.map_points(p)
+                out.append((facade_id, _noisy_hull(mapped, rng, spec.noise.corner_sigma)))
+                break
+    return out
+
+
+def _noisy_descriptors(base: list[np.ndarray], rng, spec: SceneSpec) -> list[np.ndarray]:
+    """View b's descriptors: the destroyed_frac share drawn anew, the rest
+    perturbed by desc_sigma, each scaled to unit norm."""
+    noise = spec.noise
+    destroyed = set()
+    if noise.destroyed_frac > 0 and base:
+        k = int(round(noise.destroyed_frac * len(base)))
+        destroyed = set(rng.choice(len(base), size=k, replace=False).tolist())
+    out = []
+    for idx, d in enumerate(base):
+        if idx in destroyed:
+            d = rng.standard_normal(spec.desc_dim)
+        elif noise.desc_sigma > 0:
+            d = d + rng.normal(0, noise.desc_sigma, spec.desc_dim)
+        out.append(d / np.linalg.norm(d))
+    return out
+
+
 def generate(spec: SceneSpec) -> Scene:
+    """The scene of spec: both views' inputs and the planted ground truth.
+
+    Every draw comes from one generator seeded with spec.seed, in this
+    order: per plane, the segments of view a, then of view b, one hull for a
+    and one for b per window, then the plane's descriptors; per outlier
+    segment, one for a, then one for b; the R stream of a, then of b; the
+    distractors of a, then of b; then view b's descriptors and id shuffle.
+    """
     rng = np.random.default_rng(spec.seed)
     noise = spec.noise
-
-    segs_a: list[LineSegment] = []
-    segs_b: list[LineSegment] = []
-    boxes_a: list[DetBox] = []
-    boxes_b: list[DetBox] = []
-    rect_a: list[tuple[int, DetBox]] = []
-    rect_b: list[tuple[int, DetBox]] = []
-    feats_world: list[tuple[np.ndarray, np.ndarray]] = []  # (pos_a, pos_b)
-    box_pairs = []
-    box_plane_a: list[int] = []
-    box_plane_b: list[int] = []
-    vps_a, vps_b = [], []
-    plane_h = []
-    corner_pairs = []
-    window_proj: list[tuple[np.ndarray, np.ndarray]] = []
+    # Per view (a, b): segments, window quads, feature points, boxes and the
+    # plane of each box.
+    segs, quads, points, boxes, box_plane = (([], []) for _ in range(5))
+    box_pairs, plane_h, vps_a, corner_pairs = [], [], [], []
 
     if spec.uniform_descriptor:
-        shared_desc = normalize_h(rng.standard_normal(spec.desc_dim))[:]  # unit
+        shared_desc = normalize_h(rng.standard_normal(spec.desc_dim))  # unit
         shared_desc = shared_desc / np.linalg.norm(shared_desc)
     codebook = None
     if spec.codebook > 0:
@@ -265,35 +314,27 @@ def generate(spec: SceneSpec) -> Scene:
     base_descs: list[np.ndarray] = []
 
     for pid, plane in enumerate(spec.planes):
-        h_a, h_b = plane.h_a, plane.h_b
-        plane_h.append(Homography(h_b @ np.linalg.inv(h_a)))
-        vps_a.append((normalize_h(h_a @ [1, 0, 0]), normalize_h(h_a @ [0, 1, 0])))
-        vps_b.append((normalize_h(h_b @ [1, 0, 0]), normalize_h(h_b @ [0, 1, 0])))
+        plane_h.append(Homography(plane.h_b @ np.linalg.inv(plane.h_a)))
+        vps_a.append((normalize_h(plane.h_a @ [1, 0, 0]), normalize_h(plane.h_a @ [0, 1, 0])))
 
-        plane_segs_a = _plane_segments(plane, h_a, rng, noise.segment_angle_noise)
-        plane_segs_b = _plane_segments(plane, h_b, rng, noise.segment_angle_noise)
-        segs_a.extend(plane_segs_a)
-        segs_b.extend(plane_segs_b)
+        planted = [
+            _plant_view(plane, h, rng, noise.segment_angle_noise, spec.feature_mode)
+            for h in (plane.h_a, plane.h_b)
+        ]
+        for v, (plane_segs, plane_quads, plane_pts) in enumerate(planted):
+            segs[v].extend(plane_segs)
+            quads[v].extend(plane_quads)
+            points[v].extend(plane_pts)
 
-        cpairs = []
-        for quad in _window_world_corners(plane):
-            pa = _project(h_a, quad)
-            pb = _project(h_b, quad)
-            cpairs.append(np.hstack([pa, pb]))
+        window_pairs = list(zip(planted[0][1], planted[1][1]))
+        for pair in window_pairs:
+            for v, quad in enumerate(pair):
+                boxes[v].append(_noisy_hull(quad, rng, noise.corner_sigma))
+                box_plane[v].append(pid)
+            box_pairs.append((len(boxes[0]) - 1, len(boxes[1]) - 1))
+        corner_pairs.append(np.vstack([np.hstack(pair) for pair in window_pairs]))
 
-            boxes_a.append(_noisy_hull(pa, rng, noise.corner_sigma))
-            boxes_b.append(_noisy_hull(pb, rng, noise.corner_sigma))
-            box_pairs.append((len(boxes_a) - 1, len(boxes_b) - 1))
-            box_plane_a.append(pid)
-            box_plane_b.append(pid)
-            window_proj.append((pa, pb))
-
-        corner_pairs.append(np.vstack(cpairs))
-
-        for wp in _feature_world_points(plane, spec.feature_mode):
-            pa = _project(h_a, wp[None, :])[0]
-            pb = _project(h_b, wp[None, :])[0]
-            feats_world.append((pa, pb))
+        for _ in planted[0][2]:  # one base descriptor per feature point
             if spec.uniform_descriptor:
                 base_descs.append(shared_desc)
             elif codebook is not None:
@@ -302,89 +343,39 @@ def generate(spec: SceneSpec) -> Scene:
                 d = rng.standard_normal(spec.desc_dim)
                 base_descs.append(d / np.linalg.norm(d))
 
-    # Outlier segments: random positions and directions.
     for _ in range(noise.outlier_segments):
-        mid = rng.uniform([0, 0], [spec.width, spec.height])
-        ang = rng.uniform(0, np.pi)
-        half = rng.uniform(15, 35) * np.array([np.cos(ang), np.sin(ang)])
-        segs_a.append(LineSegment(mid - half, mid + half))
-        mid = rng.uniform([0, 0], [spec.width, spec.height])
-        ang = rng.uniform(0, np.pi)
-        half = rng.uniform(15, 35) * np.array([np.cos(ang), np.sin(ang)])
-        segs_b.append(LineSegment(mid - half, mid + half))
+        for view_segs in segs:
+            view_segs.append(_outlier_segment(rng, spec.width, spec.height))
 
-    if spec.with_rect_boxes:
-        # Simulate a detector running on the pipeline-rectified images: the
-        # rectified frames are the ones the pipeline itself reconstructs from
-        # the segments, so backprojection inverts them exactly.
-        for segs, projs, out in (
-            (segs_a, [pa for pa, _ in window_proj], rect_a),
-            (segs_b, [pb for _, pb in window_proj], rect_b),
-        ):
-            table = segment_arrays(segs)
-            vps = image_vps(table, spec.width, spec.height, VpParams())
-            rectifiers, intervals = build_plane_rectifiers(
-                table, vps, spec.width, spec.height, VpParams()
-            )
-            for p in projs:
-                cx = float(p[:, 0].mean())
-                for facade_id, iv in enumerate(intervals):
-                    if iv.lo <= cx < iv.hi and rectifiers[facade_id] is not None:
-                        mapped = rectifiers[facade_id].H.map_points(p)
-                        out.append(
-                            (facade_id, _noisy_hull(mapped, rng, noise.corner_sigma))
-                        )
-                        break
-
-    for b in _distractor_boxes(rng, "tl", noise.distractor_boxes, spec.width, spec.height):
-        boxes_a.append(b)
-        box_plane_a.append(-1)
-    for b in _distractor_boxes(rng, "br", noise.distractor_boxes, spec.width, spec.height):
-        boxes_b.append(b)
-        box_plane_b.append(-1)
-
-    feats_a: list[Feature] = []
-    feats_b_raw: list[tuple[np.ndarray, np.ndarray]] = []
-    n_feat = len(feats_world)
-    destroyed = set()
-    if noise.destroyed_frac > 0 and n_feat:
-        k = int(round(noise.destroyed_frac * n_feat))
-        destroyed = set(rng.choice(n_feat, size=k, replace=False).tolist())
-    for idx, (pa, pb) in enumerate(feats_world):
-        base = base_descs[idx]
-        feats_a.append(Feature(id=idx, pos=pa, desc=base))
-        if idx in destroyed:
-            d = rng.standard_normal(spec.desc_dim)
-        elif noise.desc_sigma > 0:
-            d = base + rng.normal(0, noise.desc_sigma, spec.desc_dim)
-        else:
-            d = base.copy()
-        feats_b_raw.append((pb, d / np.linalg.norm(d)))
-
-    # Shuffle view-b features so ids carry no alignment information.
-    perm = rng.permutation(n_feat)
-    feats_b = [
-        Feature(id=j, pos=feats_b_raw[int(src)][0], desc=feats_b_raw[int(src)][1])
-        for j, src in enumerate(perm)
+    rect = [
+        _rect_boxes(view_segs, view_quads, rng, spec) if spec.with_rect_boxes else []
+        for view_segs, view_quads in zip(segs, quads)
     ]
-    feature_pairs = {int(src): j for j, src in enumerate(perm)}
 
-    img_a = ImageInputs(
-        width=spec.width, height=spec.height, segments=segs_a, boxes=boxes_a,
-        features=feats_a, rect_boxes=rect_a,
+    for view_boxes, view_planes, corner in zip(boxes, box_plane, ("tl", "br")):
+        extra = _distractor_boxes(rng, corner, noise.distractor_boxes, spec.width, spec.height)
+        view_boxes.extend(extra)
+        view_planes.extend([-1] * len(extra))
+
+    descs_b = _noisy_descriptors(base_descs, rng, spec)
+    # Shuffle view-b features so ids carry no alignment information.
+    perm = rng.permutation(len(base_descs))
+    feats = (
+        [Feature(id=i, pos=pos, desc=d) for i, (pos, d) in enumerate(zip(points[0], base_descs))],
+        [Feature(id=j, pos=points[1][src], desc=descs_b[src]) for j, src in enumerate(perm)],
     )
-    img_b = ImageInputs(
-        width=spec.width, height=spec.height, segments=segs_b, boxes=boxes_b,
-        features=feats_b, rect_boxes=rect_b,
+    img_a, img_b = (
+        ImageInputs(width=spec.width, height=spec.height, segments=s, boxes=b,
+                    features=f, rect_boxes=r)
+        for s, b, f, r in zip(segs, boxes, feats, rect)
     )
     gt = GroundTruth(
         box_pairs=box_pairs,
-        box_plane_a=box_plane_a,
-        box_plane_b=box_plane_b,
-        feature_pairs=feature_pairs,
+        box_plane_a=box_plane[0],
+        box_plane_b=box_plane[1],
+        feature_pairs={int(src): j for j, src in enumerate(perm)},
         plane_homographies=plane_h,
         vps_a=vps_a,
-        vps_b=vps_b,
         corner_pairs=corner_pairs,
     )
     return Scene(img_a=img_a, img_b=img_b, gt=gt)

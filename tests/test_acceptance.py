@@ -163,7 +163,7 @@ def test_criterion_2_vp_recovery():
 
 
 def test_criterion_3_box_adjustment():
-    from objguide.synth import _project, _window_world_corners
+    from objguide.synth import _plant_view
 
     errs = []
     for seed in range(100):
@@ -177,8 +177,7 @@ def test_criterion_3_box_adjustment():
         plane = PlaneSpec(h_a=h, h_b=h)
         vp_h, vp_v = h @ [1, 0, 0], h @ [0, 1, 0]
         scene_err = 0.0
-        for world in _window_world_corners(plane):
-            true = _project(h, world)
+        for true in _plant_view(plane, h, None)[1]:
             lo, hi = true.min(axis=0), true.max(axis=0)
             [q] = adjust_box([DetBox(lo[0], lo[1], hi[0], hi[1])], vp_h, vp_v)
             scene_err = max(scene_err, float(np.abs(q.corners - true).max()))

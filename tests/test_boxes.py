@@ -6,8 +6,7 @@ from objguide import synth
 from objguide.geom import DegenerateInputError, DetBox, LineSegment, QuadBox
 from objguide.synth import (
     PlaneSpec,
-    _project,
-    _window_world_corners,
+    _plant_view,
     generate,
     pencil_segments,
     slant_p,
@@ -44,8 +43,7 @@ class TestAdjustBox:
         plane = PlaneSpec(h_a=h, h_b=h)
         vp_h = h @ [1, 0, 0]
         vp_v = h @ [0, 1, 0]
-        for world in _window_world_corners(plane):
-            true = _project(h, world)
+        for true in _plant_view(plane, h, None)[1]:
             lo, hi = true.min(axis=0), true.max(axis=0)
             [q] = adjust_box([DetBox(lo[0], lo[1], hi[0], hi[1])], vp_h, vp_v)
             # The hull midpoints constrain the quad close to the projection.
@@ -331,17 +329,12 @@ class TestAdjustmentPipeline:
         # End to end: segments -> VPs -> adjusted boxes, on one slanted plane.
         h = view_homography(scale=1.0, tx=380, ty=240, p=slant_p(18, 330))
         plane = PlaneSpec(h_a=h, h_b=h, rows=3, cols=4)
-        from objguide.synth import _plane_segments
-
-        rng = np.random.default_rng(0)
-        segs = _plane_segments(plane, h, rng, 0.0)
+        segs, trues, _ = _plant_view(plane, h, None)
         table = segment_arrays(segs)
         vps = classify(estimate_vps(table, VpParams()), center=(640, 480))
-        trues, boxes = [], []
-        for world in _window_world_corners(plane):
-            true = _project(h, world)
+        boxes = []
+        for true in trues:
             lo, hi = true.min(axis=0), true.max(axis=0)
-            trues.append(true)
             boxes.append(DetBox(lo[0], lo[1], hi[0], hi[1]))
         errs = []
         for box, true, vp_h, vp_v in zip(boxes, trues, *vote_box_vps(boxes, table, vps, VpParams())):

@@ -365,6 +365,26 @@ class TestRecordRules:
             formats.read_groups(str(path))
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("first,second,line_no", [
+        ("0", "banana", 3), ("0", "2", 3), ("0", "00", 3), ("1", "0", 1),
+    ])
+    def test_group_id_not_its_position(self, tmp_path, first, second, line_no):
+        # write_groups numbers the groups 0, 1, 2, ... in file order.
+        path = tmp_path / "groups.txt"
+        path.write_text(f"{first} {EYE} 1 0\n0 0\n{second} {EYE} 1 0\n1 1\n")
+        with pytest.raises(formats.ParseError, match="group id must be") as exc:
+            formats.read_groups(str(path))
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("bad", ["-3 1 0.5 0", "1 -3 0.5 0", "0 1 0.5 -7"])
+    def test_match_ids_no_writer_produces(self, tmp_path, bad):
+        # Feature ids are >= 0 and a match's group id is >= -1 (the fallback).
+        path = tmp_path / "matches.txt"
+        path.write_text(f"0 3 0.5 0\n2 4 0.25 -1\n{bad}\n")
+        with pytest.raises(formats.ParseError, match="group id below -1") as exc:
+            formats.read_matches(str(path))
+        assert exc.value.line_no == 3
+
     def test_negative_quad_plane(self, tmp_path):
         path = tmp_path / "quads.txt"
         path.write_text("0 0 1 0 1 1 0 1 0.5 rect:0\n0 0 1 0 1 1 0 1 0.5 rect:-3\n")

@@ -24,7 +24,7 @@ from objguide.rectify import (
 )
 from objguide.synth import (
     PlaneSpec,
-    _plane_segments,
+    _plant_view,
     generate,
     pencil_segments,
     slant_p,
@@ -46,7 +46,7 @@ def _plane_setup(slant=20.0, tx=380.0, ty=240.0, seg_noise=0.0, seed=0):
     h = view_homography(scale=1.0, tx=tx, ty=ty, p=slant_p(slant, 330))
     plane = PlaneSpec(h_a=h, h_b=h, rows=3, cols=4)
     rng = np.random.default_rng(seed)
-    segs = _plane_segments(plane, h, rng, seg_noise)
+    segs = _plant_view(plane, h, rng, seg_noise)[0]
     vp_h = normalize_h(h @ [1, 0, 0])
     vp_v = normalize_h(h @ [0, 1, 0])
     return h, plane, segs, vp_h, vp_v
@@ -79,7 +79,7 @@ class TestBuildRectifier:
     def test_fronto_parallel_is_near_identity(self):
         h = view_homography(scale=1.0, tx=300, ty=200)
         plane = PlaneSpec(h_a=h, h_b=h)
-        segs = _plane_segments(plane, h, np.random.default_rng(0), 0.0)
+        segs = _plant_view(plane, h, None)[0]
         r = build_rectifier([1, 0, 0], [0, 1, 0], segment_arrays(segs), (1280, 960))
         pts = np.array([s.p for s in segs])
         assert np.abs(r.H.map_points(pts) - pts).max() < 1e-9

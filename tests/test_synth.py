@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from objguide.geom import DetBox, QuadBox, normalize_h, quad_iou
 from objguide.guided import Match, MatchSet
 from objguide.objmatch import Feature
 from objguide.synth import (
+    PRESETS,
     GroundTruth,
     NoiseSpec,
     PlaneSpec,
@@ -13,6 +16,7 @@ from objguide.synth import (
     generate,
     homography_rms,
     pencil_segments,
+    preset,
     raster_iou,
     score,
     slant_p,
@@ -48,6 +52,12 @@ class TestGenerate:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             _spec(seed=-1)
+
+    def test_unknown_feature_mode_rejected(self):
+        # Any mode but "corners+center" used to plant window centres only.
+        with pytest.raises(ValueError, match="unknown feature_mode 'corners'"):
+            _spec(feature_mode="corners")
+        assert _spec(feature_mode="center").feature_mode == "center"
 
     def test_segments_at_least_20px(self):
         scene = generate(_spec(seed=1))
@@ -121,6 +131,82 @@ class TestGenerate:
         scene = generate(_spec(seed=11, with_rect_boxes=True))
         assert scene.img_a.rect_boxes
         assert all(plane == 0 for plane, _ in scene.img_a.rect_boxes)
+
+
+class _DrawLog:
+    """A Generator that logs the method and result shape of each draw."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._log.append((name, np.shape(out)))
+            return out
+
+        return draw
+
+
+def _draws(spec, monkeypatch):
+    """The draws of generate's own generator, in order.
+
+    Generators made after it (estimate_vps's, in the R stream) are not logged.
+    """
+    log, made, real = [], [], np.random.default_rng
+
+    def default_rng(*args):
+        made.append(real(*args))
+        return _DrawLog(made[0], log) if len(made) == 1 else made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    generate(spec)
+    return log
+
+
+_HULL = [("normal", (2,)), ("normal", (2,)), ("uniform", ())]  # one box
+_OUTLIER = [("uniform", (2,)), ("uniform", ()), ("uniform", ())]  # one segment
+_DISTRACTOR = [("uniform", ())] * 3  # one box
+_DESC = [("standard_normal", (128,))]  # one base descriptor, or a destroyed one
+_NOISY = [("normal", (128,))]  # one view-b descriptor perturbation
+
+# The draws of generate for each scene below.  They decide every scene, so a
+# new noise model must draw from its own generator: its default then leaves
+# these sequences unchanged.
+_PINNED_DRAWS = {
+    # Per window a hull for a then b, the descriptors, per outlier a segment
+    # for a then b, view b's perturbations, the view-b id shuffle.
+    "single": _HULL * 12 + _DESC * 30 + _OUTLIER * 20 + _NOISY * 30
+    + [("permutation", (30,))],
+    # Per plane as above; then the R stream (a then b), two distractors per view.
+    "two-facade": (_HULL * 12 + _DESC * 30) * 2 + _OUTLIER * 20 + _HULL * 24
+    + _DISTRACTOR * 4 + _NOISY * 60 + [("permutation", (60,))],
+    # The shared descriptor, the hulls, the shuffle.
+    "grid": _DESC + _HULL * 50 + [("permutation", (25,))],
+    # The codebook, 31 segment turns per view, hulls, outliers, one distractor
+    # per view, the destroyed choice, then per feature a new descriptor (s) or
+    # a perturbation (n).
+    "knobs": [("standard_normal", (3, 128))] + [("uniform", ())] * 62 + _HULL * 12
+    + _OUTLIER * 20 + _DISTRACTOR * 2 + [("choice", (8,))]
+    + [(_DESC if c == "s" else _NOISY)[0] for c in "snnsnnnnnsnnnnsnnnssnnnnnnssnn"]
+    + [("permutation", (30,))],
+}
+
+
+def _knobs_spec():
+    """The single preset with every optional draw of generate switched on."""
+    spec = preset("single", 0)
+    noise = dataclasses.replace(spec.noise, segment_angle_noise=0.5, destroyed_frac=0.25,
+                                distractor_boxes=1)
+    return dataclasses.replace(spec, noise=noise, codebook=3)
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "knobs"])
+def test_draw_order_pinned(name, monkeypatch):
+    spec = _knobs_spec() if name == "knobs" else preset(name, 0)
+    assert _draws(spec, monkeypatch) == _PINNED_DRAWS[name]
 
 
 class TestPencilSegments:
