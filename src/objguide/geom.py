@@ -107,19 +107,11 @@ class Homography:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float).reshape(3, 3)
-        n = np.linalg.norm(m)
-        if n < 1e-300:
-            raise DegenerateInputError("zero homography matrix")
-        m = m / n
-        flat = m.ravel()
-        k = int(np.argmax(np.abs(flat)))
-        if flat[k] < 0:
-            m = -m
-        # Invertibility: smallest/largest singular value ratio is scale-free
-        # and does not penalize strong perspective at pixel coordinates.
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise DegenerateInputError("homography matrix is singular")
+        if not np.isfinite(m).all():
+            raise DegenerateInputError("non-finite homography matrix")
+        [m], [ok] = unit_homographies(m[None])
+        if not ok:
+            raise DegenerateInputError("zero or singular homography matrix")
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
@@ -380,71 +372,128 @@ def quad_iou(a: QuadBox | np.ndarray, b: QuadBox | np.ndarray) -> float | np.nda
     return iou
 
 
-def _hartley_transform(pts: np.ndarray) -> np.ndarray:
-    """Isotropic normalization: centroid to origin, mean distance sqrt(2)."""
-    c = pts.mean(axis=0)
-    d = np.linalg.norm(pts - c, axis=1).mean()
-    s = np.sqrt(2.0) / d if d > 1e-12 else 1.0
-    return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+def unit_homographies(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit Frobenius norm forms of 3x3 matrices (K, 3, 3), with canonical
+    sign (largest-magnitude entry positive), as Homography stores them.
+
+    Returns the forms and the mask (K,) of the matrices that are finite,
+    nonzero and invertible, the ones Homography accepts; a form outside the
+    mask holds meaningless finite values.
+    """
+    flat = np.asarray(m, dtype=float).reshape(-1, 9)
+    ok = np.isfinite(flat).all(axis=1)
+    flat = np.where(ok[:, None], flat, 0.0)
+    # np.vecdot rounds as the norm of one matrix does; the axis form of
+    # np.linalg.norm does not.
+    n = np.sqrt(np.vecdot(flat, flat))
+    ok &= n >= 1e-300
+    unit = flat / np.where(ok, n, 1.0)[:, None]
+    neg = unit[np.arange(len(unit)), np.argmax(np.abs(unit), axis=1)] < 0
+    unit = np.where(neg[:, None], -unit, unit).reshape(-1, 3, 3)
+    # Invertibility: smallest/largest singular value ratio is scale-free
+    # and does not penalize strong perspective at pixel coordinates.
+    sv = np.linalg.svd(unit[ok], compute_uv=False)
+    ok[ok] = sv[:, -1] > 1e-12 * sv[:, 0]
+    return unit, ok
+
+
+def _hartley_transforms(pts_h: np.ndarray) -> np.ndarray:
+    """Isotropic normalization (R, 3, 3) of each row of homogeneous points
+    (R, n, 3), from its finite points: centroid to origin, mean distance
+    sqrt(2).  A row with fewer than two finite points gets the identity.
+    """
+    finite = ~_at_infinity(pts_h)
+    count = finite.sum(axis=1)
+    t = np.tile(np.eye(3), (len(pts_h), 1, 1))
+    # Rows with equal finite counts share one pass: a sum padded with
+    # zeros rounds differently from the unpadded one.
+    for c in np.flatnonzero(np.bincount(count)[2:]) + 2:
+        rows = np.flatnonzero(count == c)
+        p = pts_h[rows][finite[rows]].reshape(len(rows), c, 3)
+        xy = p[..., :2] / p[..., 2:]
+        ctr = xy.mean(axis=1)
+        d = np.linalg.norm(xy - ctr[:, None], axis=2).mean(axis=1)
+        spread = d > 1e-12
+        s = np.where(spread, np.sqrt(2.0) / np.where(spread, d, 1.0), 1.0)
+        t[rows, 0, 0] = t[rows, 1, 1] = s
+        t[rows, 0, 2] = -s * ctr[:, 0]
+        t[rows, 1, 2] = -s * ctr[:, 1]
+    return t
+
+
+def dlt_homographies(
+    src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted DLT of each row of a stack of n >= 4 correspondences.
+
+    src and dst are (K, n, 2) points or (K, n, 3) homogeneous points, which
+    may be at infinity; weights (n,) or (K, n) scale each correspondence's
+    equations.  Hartley conditioning is computed from the finite points
+    only; infinite correspondences are still transformed consistently
+    (translation has no effect on directions).  All rows share one stacked
+    SVD, which gives the same bytes as one SVD per row.
+
+    Returns the estimated matrices (K, 3, 3), their unit_homographies forms
+    and the mask (K,) of the rows that give a Homography: the system has
+    rank 8 and the estimate is invertible.  Homography(m[k]).m equals the
+    unit form k byte for byte.  A row holding a non-finite value or a zero
+    homogeneous point is left out of the SVD, so it cannot fail the stack.
+    """
+    src, dst = (np.asarray(p, dtype=float) for p in (src, dst))
+    if src.shape != dst.shape:
+        raise EstimationError("source/target correspondence count mismatch")
+    if src.shape[-1] == 2:
+        ones = np.ones(src.shape[:-1] + (1,))
+        src, dst = np.concatenate((src, ones), axis=2), np.concatenate((dst, ones), axis=2)
+    k, n = src.shape[:2]
+    if n < 4:
+        raise EstimationError("need at least 4 correspondences")
+    w = np.broadcast_to(np.ones(n) if weights is None else np.asarray(weights, dtype=float), (k, n))
+    ok = np.ones(k, dtype=bool)
+    for p in (src, dst):
+        ok &= np.isfinite(p).all(axis=(1, 2)) & p.any(axis=2).all(axis=1)
+    ok &= np.isfinite(w).all(axis=1)
+    rows = np.flatnonzero(ok)
+    s, d, w = src[rows], dst[rows], w[rows]
+
+    t_src = _hartley_transforms(s)
+    t_dst = _hartley_transforms(d)
+    s = s @ np.swapaxes(t_src, 1, 2)
+    d = d @ np.swapaxes(t_dst, 1, 2)
+    # Renormalize rows so weights are comparable across correspondences.
+    s = s / np.linalg.norm(s, axis=2, keepdims=True)
+    d = d / np.linalg.norm(d, axis=2, keepdims=True)
+
+    a = np.zeros((len(rows), 2 * n, 9))
+    x, y, z = d[..., 0:1], d[..., 1:2], d[..., 2:3]
+    a[:, 0::2, 3:6] = -z * s
+    a[:, 0::2, 6:9] = y * s
+    a[:, 1::2, 0:3] = z * s
+    a[:, 1::2, 6:9] = -x * s
+    a *= np.repeat(w, 2, axis=1)[..., None]
+
+    _, sv, vt = np.linalg.svd(a)
+    # The solution is unique up to scale only if the system has rank 8.
+    ok[rows] = ~(sv[:, 7] < 1e-10 * sv[:, 0])
+    m = np.zeros((k, 3, 3))
+    m[rows] = np.linalg.inv(t_dst) @ vt[:, -1].reshape(-1, 3, 3) @ t_src
+    unit, invertible = unit_homographies(m)
+    return m, unit, ok & invertible
 
 
 def dlt_homography_h(
     src_h: np.ndarray, dst_h: np.ndarray, weights: np.ndarray | None = None
 ) -> Homography:
-    """Weighted DLT on homogeneous correspondences (points may be at infinity).
-
-    Hartley conditioning is computed from the finite points only; infinite
-    correspondences are still transformed consistently (translation has no
-    effect on directions).
-    """
-    src_h = np.asarray(src_h, dtype=float).reshape(-1, 3)
-    dst_h = np.asarray(dst_h, dtype=float).reshape(-1, 3)
-    n = len(src_h)
-    if n < 4:
-        raise EstimationError("need at least 4 correspondences")
-    if weights is None:
-        weights = np.ones(n)
-
-    def finite_xy(pts_h):
-        mask = ~_at_infinity(pts_h)
-        return pts_h[mask, :2] / pts_h[mask, 2:3]
-
-    fs = finite_xy(src_h)
-    fd = finite_xy(dst_h)
-    t_src = _hartley_transform(fs) if len(fs) >= 2 else np.eye(3)
-    t_dst = _hartley_transform(fd) if len(fd) >= 2 else np.eye(3)
-
-    s = src_h @ t_src.T
-    d = dst_h @ t_dst.T
-    # Renormalize rows so weights are comparable across correspondences.
-    s = s / np.linalg.norm(s, axis=1, keepdims=True)
-    d = d / np.linalg.norm(d, axis=1, keepdims=True)
-
-    a = np.zeros((2 * n, 9))
-    x, y, w = d[:, 0], d[:, 1], d[:, 2]
-    a[0::2, 3:6] = -w[:, None] * s
-    a[0::2, 6:9] = y[:, None] * s
-    a[1::2, 0:3] = w[:, None] * s
-    a[1::2, 6:9] = -x[:, None] * s
-    a *= np.repeat(np.asarray(weights, dtype=float), 2)[:, None]
-
-    _, sv, vt = np.linalg.svd(a)
-    # The solution is unique up to scale only if the system has rank 8.
-    if sv[7] < 1e-10 * sv[0]:
+    """Weighted DLT on one set of correspondences, (n, 2) points or (n, 3)
+    homogeneous points that may be at infinity: the one-row dlt_homographies."""
+    [m], _, [ok] = dlt_homographies(
+        np.asarray(src_h, dtype=float)[None], np.asarray(dst_h, dtype=float)[None], weights
+    )
+    if not ok:
         raise EstimationError("degenerate correspondence configuration")
-    h = vt[-1].reshape(3, 3)
-    m = np.linalg.inv(t_dst) @ h @ t_src
-    try:
-        return Homography(m)
-    except DegenerateInputError as exc:
-        raise EstimationError(str(exc)) from exc
+    return Homography(m)
 
 
 def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     """Homography from >= 4 finite point correspondences (Hartley-normalized)."""
-    src = np.asarray(src, dtype=float).reshape(-1, 2)
-    dst = np.asarray(dst, dtype=float).reshape(-1, 2)
-    if src.shape != dst.shape:
-        raise EstimationError("source/target correspondence count mismatch")
-    ones = np.ones((len(src), 1))
-    return dlt_homography_h(np.hstack([src, ones]), np.hstack([dst, ones]))
+    return dlt_homography_h(*(np.asarray(p, dtype=float).reshape(-1, 2) for p in (src, dst)))

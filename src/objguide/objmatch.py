@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
-    DegenerateInputError,
-    EstimationError,
     Homography,
     bbox_overlaps,
-    dlt_homography,
+    dlt_homographies,
     points_in_quads,
     project_quads,
     quad_iou,
 )
+
+SUPPORT_CELLS = 1 << 10  # overlap cells per block of support IoUs in a grouping round
 
 
 class NoDescriptorError(ValueError):
@@ -157,9 +157,10 @@ def candidates(
     return [int(j) for j in order[:k]]
 
 
-def hypothesis(c1: np.ndarray, c2: np.ndarray) -> Homography:
-    """Homography mapping one quad's corners (4, 2) onto the other's."""
-    return dlt_homography(c1, c2)
+def hypothesis(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Homographies mapping each quad's corners onto the other's, for stacks
+    of quads (K, 4, 2): dlt_homographies' matrices, unit forms and mask."""
+    return dlt_homographies(c1, c2)
 
 
 def greedy_assign(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,22 +209,60 @@ def _round_cells(
 
 
 def _support(
-    proj: np.ndarray, cells: np.ndarray, corners2: np.ndarray, eps_iou: float
+    a: np.ndarray, b: np.ndarray, iou: np.ndarray, eps_iou: float
 ) -> tuple[list[tuple[int, int]], float]:
     """Greedy one-to-one support of one hypothesis and its summed IoU.
 
-    proj (N1, 4, 2) and cells (N1, N2) are the hypothesis's slices of
-    _round_cells.  IoU is computed on the overlap cells only, in one
-    stacked call.  Appearance is deliberately ignored here; geometry alone
+    iou holds the IoUs of the hypothesis's overlap cells (a[e], b[e]) from
+    _round_cells.  Appearance is deliberately ignored here; geometry alone
     decides.
     """
-    a, b = np.nonzero(cells)
-    iou = quad_iou(proj[a], corners2[b])
     edge = np.flatnonzero(iou >= eps_iou)
     kept = edge[greedy_assign(iou[edge], a[edge], b[edge])]
     pairs = list(zip(a[kept].tolist(), b[kept].tolist()))
     # Summed one float64 at a time in pair order, as the tie-break expects.
     return pairs, float(sum(iou[kept]))
+
+
+def _best_support(
+    proj: np.ndarray, cells: np.ndarray, bound: np.ndarray, corners2: np.ndarray, eps_iou: float
+) -> tuple[int, list[tuple[int, int]]] | None:
+    """The best-supported hypothesis of a round and its pairs, or None.
+
+    proj, cells and bound are _round_cells' arrays.  Hypotheses are visited
+    in order, and one whose bound is below the best support so far is
+    skipped.  Ties are resolved by larger summed IoU, then by the
+    lexicographically smaller pair list.  The IoUs come in blocks of about
+    SUPPORT_CELLS cells, one quad_iou call per block, for the hypotheses
+    whose bound reaches the floor at the start of the block.  IoUs do not
+    depend on the stacking, so neither does the result.
+    """
+    todo = np.flatnonzero(bound >= 2)
+    size = cells.sum(axis=(1, 2))
+    best, floor = None, 2  # (key, k, pairs) of the best so far, and its count
+    while True:
+        # A hypothesis that can only tie the best count is still scored:
+        # the summed-IoU and pair-list tie-breaks need it.
+        todo = todo[bound[todo] >= floor]
+        if not len(todo):
+            break
+        stop = np.searchsorted(np.cumsum(size[todo]), SUPPORT_CELLS) + 1
+        block, todo = todo[:stop], todo[stop:]
+        # Cells in (hypothesis, a, b) order: each member's run is its own
+        # np.nonzero(cells[k]).
+        h, a, b = np.nonzero(cells[block])
+        iou = quad_iou(proj[block[h], a], corners2[b])
+        ends = np.cumsum(size[block]).tolist()
+        for k, lo, hi in zip(block.tolist(), [0] + ends, ends):
+            if bound[k] < floor:
+                continue
+            pairs, sum_iou = _support(a[lo:hi], b[lo:hi], iou[lo:hi], eps_iou)
+            if len(pairs) < 2:
+                continue
+            key = (len(pairs), sum_iou, [(-i, -j) for i, j in pairs])
+            if best is None or key > best[0]:
+                best, floor = (key, k, pairs), len(pairs)
+    return None if best is None else best[1:]
 
 
 def greedy_match(
@@ -247,47 +286,38 @@ def greedy_match(
     remaining1 = list(range(len(corners1)))
     remaining2 = list(range(len(corners2)))
     groups: list[ObjectGroup] = []
-    # A hypothesis depends only on its two quads: each box pair's DLT, or
-    # its failure (None), is computed once for all rounds.
-    cache: dict[tuple[int, int], Homography | None] = {}
+    # A hypothesis depends only on its two quads: each box pair's estimated
+    # and unit matrices, or its failure (None), are computed once for all
+    # rounds, one hypothesis call per round for the pairs it meets first.
+    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
     while remaining1 and remaining2:
         sub_descs2 = descs2[remaining2]
-        hyps = []  # in visiting order
-        for i in remaining1:
-            for lj in candidates(i, descs1, sub_descs2, params.k_candidates):
-                j = remaining2[lj]
-                if (i, j) not in cache:
-                    try:
-                        cache[i, j] = hypothesis(corners1[i], corners2[j])
-                    except (EstimationError, DegenerateInputError):
-                        cache[i, j] = None
-                if cache[i, j] is not None:
-                    hyps.append(cache[i, j])
+        visit = [
+            (i, remaining2[lj])
+            for i in remaining1
+            for lj in candidates(i, descs1, sub_descs2, params.k_candidates)
+        ]
+        new = [p for p in visit if p not in cache]
+        if new:
+            i, j = np.array(new).T
+            m, unit, ok = hypothesis(corners1[i], corners2[j])
+            cache.update(zip(new, [(r, u) if o else None for r, u, o in zip(m, unit, ok)]))
+        hyps = [cache[p] for p in visit if cache[p] is not None]  # in visiting order
         if not hyps:
             break
         sub2 = corners2[remaining2]
         proj, cells, bound = _round_cells(
-            np.array([h.m for h in hyps]), corners1[remaining1], sub2
+            np.array([u for _, u in hyps]), corners1[remaining1], sub2
         )
-        best = None  # ((count, sum_iou, pairs), pairs, H)
-        for k, h in enumerate(hyps):
-            # A hypothesis that can only tie the best count is still
-            # scored: the summed-IoU and pair-list tie-breaks need it.
-            floor = max(2, best[0][0]) if best else 2
-            if bound[k] < floor:
-                continue
-            pairs, sum_iou = _support(proj[k], cells[k], sub2, params.eps_iou)
-            if len(pairs) < 2:
-                continue
-            global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]
-            key = (len(pairs), sum_iou, [(-a, -b) for a, b in global_pairs])
-            if best is None or key > best[0]:
-                best = (key, global_pairs, h)
-        if best is None:
+        won = _best_support(proj, cells, bound, sub2, params.eps_iou)
+        if won is None:
             break
-        _, global_pairs, h = best
-        groups.append(ObjectGroup(H=h, pairs=sorted(global_pairs)))
+        k, pairs = won
+        # remaining1 and remaining2 ascend, so the pair-list tie-break and
+        # the pair order on local indices hold for the global ones.
+        global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]
+        groups.append(ObjectGroup(H=Homography(hyps[k][0]), pairs=global_pairs))
         used1 = {a for a, _ in global_pairs}
         used2 = {b for _, b in global_pairs}
         remaining1 = [i for i in remaining1 if i not in used1]

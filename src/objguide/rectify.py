@@ -8,7 +8,7 @@ translation S fitted to keep segment endpoints close to where they were.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,11 @@ class Rectifier:
     vp_h: np.ndarray
     vp_v: np.ndarray
     plane_id: int
+    # H.inv, computed once: it backprojects every rectified-frame box.
+    H_inv: Homography = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "H_inv", self.H.inv)
 
 
 # A column is labeled when its best plane holds this fraction of the column's
@@ -279,7 +284,7 @@ def build_plane_rectifiers(
 
 def backproject_quad(box: DetBox, r: Rectifier) -> QuadBox:
     """Map a rectified-frame detection back to the original image."""
-    [[valid]], [[corners]] = project_quads(r.H.inv.m[None], box.corners[None])
+    [[valid]], [[corners]] = project_quads(r.H_inv.m[None], box.corners[None])
     if not valid:
         raise BackprojectionError("backprojected corner at infinity or quad not convex")
     return QuadBox(corners, box.score)

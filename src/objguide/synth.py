@@ -107,7 +107,7 @@ class Scene:
     gt: GroundTruth
 
 
-PRESETS = ("single", "two-facade", "grid")
+PRESETS = ("single", "two-facade", "grid", "city-block")
 
 
 def preset(name: str, seed: int) -> SceneSpec:
@@ -145,6 +145,25 @@ def preset(name: str, seed: int) -> SceneSpec:
         ]
         return SceneSpec(seed=seed, planes=planes, feature_mode="center",
                          uniform_descriptor=True)
+    if name == "city-block":
+        # Two wide facades of repeated windows, 72 boxes per image: the
+        # benchmark's grouping-bound scene.
+        scale = 0.62
+        planes = [
+            PlaneSpec(
+                h_a=view_homography(scale=scale, tx=40, ty=230, p=slant_p(10, 880)),
+                h_b=view_homography(scale=scale, tx=20, ty=250, p=slant_p(20, 880)),
+                rows=5, cols=8,
+            ),
+            PlaneSpec(
+                h_a=view_homography(scale=scale, tx=720, ty=230, p=-slant_p(25, 660)),
+                h_b=view_homography(scale=scale * 0.95, tx=750, ty=240, p=-slant_p(12, 660)),
+                rows=5, cols=6,
+            ),
+        ]
+        noise = NoiseSpec(corner_sigma=1.0, desc_sigma=0.3, outlier_segments=30,
+                          distractor_boxes=2)
+        return SceneSpec(seed=seed, planes=planes, noise=noise, with_rect_boxes=True)
     raise ValueError(f"unknown preset {name!r}")
 
 

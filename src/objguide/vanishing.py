@@ -24,7 +24,7 @@ from .geom import (
     DegenerateInputError,
     LineSegment,
     _at_infinity,
-    _hartley_transform,
+    _hartley_transforms,
     join,
     normalize_h,
 )
@@ -163,9 +163,11 @@ def _refine(p: np.ndarray, q: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     Solved in a translated/scaled frame for conditioning at pixel scale.
     """
-    t = _hartley_transform(np.vstack([p, q]))
-    ph = np.column_stack([p, np.ones(len(p))]) @ t.T
-    qh = np.column_stack([q, np.ones(len(q))]) @ t.T
+    ph = np.column_stack([p, np.ones(len(p))])
+    qh = np.column_stack([q, np.ones(len(q))])
+    [t] = _hartley_transforms(np.vstack([ph, qh])[None])
+    ph = ph @ t.T
+    qh = qh @ t.T
     lines = np.cross(ph, qh)
     rows = lines / np.linalg.norm(lines, axis=1, keepdims=True)
     rows = rows * lengths[:, None]

@@ -12,7 +12,7 @@ and the same kept detections.
 import numpy as np
 import pytest
 
-from objguide import synth
+from objguide import objmatch, synth
 from objguide.geom import (
     DegenerateInputError,
     DetBox,
@@ -158,6 +158,45 @@ def test_tie_on_best_count_goes_to_the_later_hypothesis():
     assert group.pairs == [(0, 0), (1, 1)]
     assert np.allclose(group.H.map_points(b1[1].corners), b2[1].corners)
     assert not np.allclose(group.H.map_points(b1[0].corners), b2[0].corners)
+
+
+def test_blocked_support_matches_reference(monkeypatch):
+    # Boxes 0-1 form a pair that one translation registers (support 2),
+    # boxes 2-5 a row of four that another registers (support 4).  With
+    # blocks of 17 cells, the row's hypothesis wins in the second block of
+    # the first round and raises the floor above the bound of a later member
+    # of that block, whose IoUs were computed but are never scored.
+    b1 = [_box(0, 400, 40, 450), _box(300, 400, 340, 450)]
+    b1 += [_box(100 * k, 0, 100 * k + 40, 50) for k in range(4)]
+    b2 = [_box(20, 420, 60, 470), _box(320, 420, 360, 470)]
+    b2 += [_box(100 * k + 30, 10, 100 * k + 70, 60) for k in range(4)]
+    log = []  # per round a list of blocks: [cells computed, [cells, pairs] per scored member]
+    round_cells, iou, support = objmatch._round_cells, objmatch.quad_iou, objmatch._support
+
+    def logged_round(*args):
+        log.append([])
+        return round_cells(*args)
+
+    def logged_iou(a, b):
+        log[-1].append([len(a), []])
+        return iou(a, b)
+
+    def logged_support(a, b, ious, eps):
+        out = support(a, b, ious, eps)
+        log[-1][-1][1].append((len(a), out[0]))
+        return out
+
+    monkeypatch.setattr(objmatch, "SUPPORT_CELLS", 17)
+    monkeypatch.setattr(objmatch, "_round_cells", logged_round)
+    monkeypatch.setattr(objmatch, "quad_iou", logged_iou)
+    monkeypatch.setattr(objmatch, "_support", logged_support)
+    groups = _assert_same_groups(b1, b2, [], [])
+    assert [g.pairs for g in groups] == [[(2, 2), (3, 3), (4, 4), (5, 5)], [(0, 0), (1, 1)]]
+    first = log[0]
+    win = min(k for k, (_, scored) in enumerate(first)
+              if any(pairs == groups[0].pairs for _, pairs in scored))
+    assert win >= 1
+    assert sum(n for n, _ in first[win][1]) < first[win][0]
 
 
 def test_quad_projected_to_infinity():

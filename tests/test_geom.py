@@ -11,13 +11,16 @@ from objguide.geom import (
     QuadBox,
     _at_infinity,
     canonical_quad_order,
+    dlt_homographies,
     dlt_homography,
+    dlt_homography_h,
     join,
     normalize_h,
     points_in_quads,
     project_quads,
     quad_iou,
     same_up_to_scale,
+    unit_homographies,
 )
 from objguide.synth import raster_iou
 
@@ -143,6 +146,23 @@ class TestHomography:
         with pytest.raises(DegenerateInputError):
             Homography(np.outer([1.0, 2, 3], [1.0, 2, 3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            Homography(m)
+
+    def test_unit_forms_mask_bad_rows(self):
+        # One stack of a valid, a non-finite, a zero, a singular and a
+        # negated matrix: the bad rows neither fail nor change the others.
+        m = np.eye(3) + 0.1 * np.arange(9).reshape(3, 3)
+        stack = np.array([m, np.full((3, 3), np.nan), np.zeros((3, 3)),
+                          np.outer([1.0, 2, 3], [1.0, 2, 3]), -m])
+        unit, ok = unit_homographies(stack)
+        assert ok.tolist() == [True, False, False, False, True]
+        assert unit[0].tobytes() == unit[4].tobytes() == Homography(m).m.tobytes()
+
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -188,6 +208,14 @@ class TestDlt:
         with pytest.raises(EstimationError):
             dlt_homography(src, dst)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corner_raises_estimation_error(self, bad):
+        sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+        dst = 2 * sq
+        dst[2, 0] = bad
+        with pytest.raises(EstimationError):
+            dlt_homography(sq, dst)
+
     def test_random_exact_synthesis(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -195,6 +223,62 @@ class TestDlt:
             q2 = random_convex_quad(rng, 0, 2000).corners
             h = dlt_homography(q1, q2)
             assert np.abs(h.map_points(q1) - q2).max() < 1e-6
+
+
+def _one_pair_bytes(src, dst, *args):
+    """The bytes of dlt_homography(_h)'s matrix, or None when it raises."""
+    try:
+        h = dlt_homography_h(src, dst, *args) if args else dlt_homography(src, dst)
+    except EstimationError:
+        return None
+    return h.m.tobytes()
+
+
+class TestDltStack:
+    """dlt_homographies against one-row calls: equal bytes, and the mask
+    False exactly where the one-row call raises."""
+
+    def test_rows_equal_one_pair_calls(self):
+        rng = np.random.default_rng(17)
+        src = np.array([random_convex_quad(rng).corners for _ in range(640)])
+        dst = np.array([random_convex_quad(rng).corners for _ in range(640)])
+        # Degenerate rows interleaved with the rest: coincident corners
+        # (all four, then two), three collinear corners, non-finite corners.
+        src[3::40] = src[3::40, :1]
+        dst[9::40, 2] = dst[9::40, 1]
+        src[15::40, 1] = (src[15::40, 0] + src[15::40, 2]) / 2
+        src[21::40, 0, 0] = np.nan
+        dst[27::40, 3, 1] = np.inf
+        src[33::40] = -np.inf
+        m, unit, ok = dlt_homographies(src, dst)
+        want = [_one_pair_bytes(p, q) for p, q in zip(src, dst)]
+        assert ok.tolist() == [w is not None for w in want]
+        assert ok.sum() >= 500
+        assert not ok[3::40].any() and not ok[9::40].any() and not ok[21::40].any()
+        for k in np.flatnonzero(ok):
+            assert Homography(m[k]).m.tobytes() == unit[k].tobytes() == want[k]
+
+    def test_weighted_rows_with_points_at_infinity(self):
+        # Refinement-style rows: corners plus weighted vanishing points, some
+        # at infinity, so the rows' finite point counts differ.
+        rng = np.random.default_rng(18)
+        h = np.array([[1.1, 0.05, 30], [-0.02, 0.95, 12], [1e-4, -2e-4, 1]])
+        src, dst, w = [], [], []
+        for k in range(60):
+            pts = rng.uniform(0, 1000, (8, 2))
+            s = np.column_stack([pts, np.ones(8)])
+            d = s @ h.T + np.column_stack([rng.normal(0, 1, (8, 2)), np.zeros(8)])
+            v = rng.normal(size=(2, 3))
+            v[: k % 3, 2] = 0.0
+            src.append(np.vstack([s, v]))
+            dst.append(np.vstack([d, v @ h.T]))
+            w.append(np.r_[np.ones(8), rng.uniform(1, 10, 2)])
+        src, dst, w = np.array(src), np.array(dst), np.array(w)
+        m, unit, ok = dlt_homographies(src, dst, w)
+        want = [_one_pair_bytes(p, q, r) for p, q, r in zip(src, dst, w)]
+        assert ok.all() and all(v is not None for v in want)
+        for k in range(len(src)):
+            assert Homography(m[k]).m.tobytes() == unit[k].tobytes() == want[k]
 
 
 class TestQuadIou:

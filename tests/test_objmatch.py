@@ -191,7 +191,8 @@ def support(h, b1, b2, eps):
     c1 = np.array([q.corners for q in b1])
     c2 = np.array([q.corners for q in b2])
     proj, cells, _ = _round_cells(h.m[None], c1, c2)
-    return _support(proj[0], cells[0], c2, eps)[0]
+    a, b = np.nonzero(cells[0])
+    return _support(a, b, quad_iou(proj[0, a], c2[b]), eps)[0]
 
 
 class TestSupport:
@@ -206,8 +207,13 @@ class TestSupport:
     def test_translation_hypothesis(self):
         b1 = [self._q(0, 0), self._q(100, 0)]
         b2 = [self._q(30, 10), self._q(130, 10)]
-        h = hypothesis(b1[0].corners, b2[0].corners)
-        assert support(h, b1, b2, 0.5) == [(0, 0), (1, 1)]
+        # Both box pairs, in one stacked call, induce the same translation.
+        m, unit, ok = hypothesis(corner_table(b1), corner_table(b2))
+        assert ok.tolist() == [True, True]
+        for k in range(2):
+            h = Homography(m[k])
+            assert h.m.tobytes() == unit[k].tobytes()
+            assert support(h, b1, b2, 0.5) == [(0, 0), (1, 1)]
 
     def test_one_to_one(self):
         # Two identical source boxes compete for a single target.

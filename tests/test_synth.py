@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,9 @@ _PINNED_DRAWS = {
     + _DISTRACTOR * 4 + _NOISY * 60 + [("permutation", (60,))],
     # The shared descriptor, the hulls, the shuffle.
     "grid": _DESC + _HULL * 50 + [("permutation", (25,))],
+    # As two-facade, with 5x8 and 5x6 windows and 30 outliers per view.
+    "city-block": _HULL * 80 + _DESC * 200 + _HULL * 60 + _DESC * 150 + _OUTLIER * 60
+    + _HULL * 140 + _DISTRACTOR * 4 + _NOISY * 350 + [("permutation", (350,))],
     # The codebook, 31 segment turns per view, hulls, outliers, one distractor
     # per view, the destroyed choice, then per feature a new descriptor (s) or
     # a perturbation (n).
@@ -207,6 +212,27 @@ def _knobs_spec():
 def test_draw_order_pinned(name, monkeypatch):
     spec = _knobs_spec() if name == "knobs" else preset(name, 0)
     assert _draws(spec, monkeypatch) == _PINNED_DRAWS[name]
+
+
+def _fields(x):
+    """Every field of a spec, recursively; arrays as dtype, shape and bytes."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, [(f.name, _fields(getattr(x, f.name)))
+                                  for f in dataclasses.fields(x)]
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return [_fields(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_city_block_preset_is_the_benchmark_scene(seed):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    scenes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenes)
+    assert _fields(preset("city-block", seed)) == _fields(scenes.city_block(seed))
 
 
 class TestPencilSegments:
