@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import io as formats
 from .guided import match_pair
-from .objmatch import DimensionMismatchError, MatchParams
+from .objmatch import DimensionMismatchError, MatchParams, NoDescriptorError
 from .rectify import MODES, build_plane_rectifiers
 from .synth import PRESETS, GroundTruth, generate, preset, score
 from .vanishing import VpParams, image_vps, segment_arrays
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("match needs --pairs-file, or all of --dir1, --dir2 and --out")
     try:
         return args.func(args)
-    except (formats.ParseError, FileNotFoundError, InvalidParameterError) as exc:
+    except (formats.ParseError, FileNotFoundError, InvalidParameterError, NoDescriptorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatchError as exc:

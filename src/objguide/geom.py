@@ -481,19 +481,15 @@ def dlt_homographies(
     return m, unit, ok & invertible
 
 
-def dlt_homography_h(
-    src_h: np.ndarray, dst_h: np.ndarray, weights: np.ndarray | None = None
+def dlt_homography(
+    src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None
 ) -> Homography:
-    """Weighted DLT on one set of correspondences, (n, 2) points or (n, 3)
-    homogeneous points that may be at infinity: the one-row dlt_homographies."""
+    """Weighted DLT (Hartley-normalized) on one set of >= 4 correspondences,
+    (n, 2) points or (n, 3) homogeneous points that may be at infinity: the
+    one-row dlt_homographies."""
     [m], _, [ok] = dlt_homographies(
-        np.asarray(src_h, dtype=float)[None], np.asarray(dst_h, dtype=float)[None], weights
+        np.asarray(src, dtype=float)[None], np.asarray(dst, dtype=float)[None], weights
     )
     if not ok:
         raise EstimationError("degenerate correspondence configuration")
     return Homography(m)
-
-
-def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
-    """Homography from >= 4 finite point correspondences (Hartley-normalized)."""
-    return dlt_homography_h(*(np.asarray(p, dtype=float).reshape(-1, 2) for p in (src, dst)))

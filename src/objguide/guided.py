@@ -23,7 +23,7 @@ from .geom import (
     LineSegment,
     QuadBox,
     _at_infinity,
-    dlt_homography_h,
+    dlt_homography,
     points_in_quads,
     project_quads,
     quad_iou,
@@ -121,7 +121,7 @@ def refine_homography(
 
     g.refined = False
     try:
-        refined = dlt_homography_h(src_h, dst_h, np.array(weights))
+        refined = dlt_homography(src_h, dst_h, np.array(weights))
     except (EstimationError, DegenerateInputError):
         return g.H
 

@@ -63,13 +63,13 @@ class MatchParams:
     vp_weight: float | None = None  # None: one corner-set per supporting pair
 
     def __post_init__(self):
-        if self.k_candidates < 1:
-            raise ValueError("k_candidates must be >= 1")
+        if not isinstance(self.k_candidates, (int, np.integer)) or self.k_candidates < 1:
+            raise ValueError("k_candidates must be >= 1 and an integer")
         if not (0.0 < self.eps_iou <= 1.0):
             raise ValueError("eps_iou must be in (0, 1]")
-        # Each test is written so that nan fails it.
-        if not self.gem_p >= 1.0:
-            raise ValueError("gem_p must be >= 1")
+        # Each test is written so that nan fails it; gem_p = inf pools to sign vectors.
+        if not 1.0 <= self.gem_p < np.inf:
+            raise ValueError("gem_p must be finite and >= 1")
         if not self.r_search >= 0.0:
             raise ValueError("r_search must be >= 0")
         if not (0.0 < self.ratio <= 1.0):
@@ -102,7 +102,7 @@ def gem_pool(descs: np.ndarray, p: float) -> np.ndarray:
     vec = signs * pooled
     n = np.linalg.norm(vec)
     if n < 1e-12:
-        raise NoDescriptorError("pooled descriptor is zero")
+        raise NoDescriptorError(f"pooled descriptor is zero: gem_p {p} underflows")
     return vec / n
 
 
@@ -141,20 +141,6 @@ def feature_table(feats: list[Feature], dim: int = 0) -> FeatureTable:
     if len(lengths) > 1:
         raise DimensionMismatchError(f"descriptor dims differ: {sorted(lengths)}")
     return ids, np.array([f.pos for f in feats]), np.array([f.desc for f in feats])
-
-
-def candidates(
-    b: int, descs1: np.ndarray, descs2: np.ndarray, k: int
-) -> list[int]:
-    """Indices of the K most similar image-2 boxes, descending similarity.
-
-    Ties break toward the lower index.
-    """
-    if len(descs2) == 0:
-        return []
-    sims = descs2 @ descs1[b]
-    order = np.argsort(-sims, kind="stable")
-    return [int(j) for j in order[:k]]
 
 
 def hypothesis(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,21 +269,22 @@ def greedy_match(
     descs1 = box_descriptor(corners1, table1[1], table1[2], params.gem_p)
     descs2 = box_descriptor(corners2, table2[1], table2[2], params.gem_p)
 
-    remaining1 = list(range(len(corners1)))
-    remaining2 = list(range(len(corners2)))
+    sims = descs1 @ descs2.T
+    free1 = np.ones(len(corners1), dtype=bool)
+    free2 = np.ones(len(corners2), dtype=bool)
     groups: list[ObjectGroup] = []
     # A hypothesis depends only on its two quads: each box pair's estimated
     # and unit matrices, or its failure (None), are computed once for all
     # rounds, one hypothesis call per round for the pairs it meets first.
     cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
-    while remaining1 and remaining2:
-        sub_descs2 = descs2[remaining2]
-        visit = [
-            (i, remaining2[lj])
-            for i in remaining1
-            for lj in candidates(i, descs1, sub_descs2, params.k_candidates)
-        ]
+    while free1.any() and free2.any():
+        rows1, rows2 = np.flatnonzero(free1), np.flatnonzero(free2)
+        # Each free image-1 box visits its k most similar free image-2 boxes
+        # in descending similarity; an exact tie goes to the lower index.
+        order = np.argsort(-sims[np.ix_(rows1, rows2)], axis=1, kind="stable")
+        cand = rows2[order[:, : params.k_candidates]]
+        visit = list(zip(np.repeat(rows1, cand.shape[1]).tolist(), cand.ravel().tolist()))
         new = [p for p in visit if p not in cache]
         if new:
             i, j = np.array(new).T
@@ -306,21 +293,19 @@ def greedy_match(
         hyps = [cache[p] for p in visit if cache[p] is not None]  # in visiting order
         if not hyps:
             break
-        sub2 = corners2[remaining2]
-        proj, cells, bound = _round_cells(
-            np.array([u for _, u in hyps]), corners1[remaining1], sub2
-        )
+        sub2 = corners2[rows2]
+        proj, cells, bound = _round_cells(np.array([u for _, u in hyps]), corners1[rows1], sub2)
         won = _best_support(proj, cells, bound, sub2, params.eps_iou)
         if won is None:
             break
         k, pairs = won
-        # remaining1 and remaining2 ascend, so the pair-list tie-break and
-        # the pair order on local indices hold for the global ones.
-        global_pairs = [(remaining1[a], remaining2[b]) for a, b in pairs]
-        groups.append(ObjectGroup(H=Homography(hyps[k][0]), pairs=global_pairs))
-        used1 = {a for a, _ in global_pairs}
-        used2 = {b for _, b in global_pairs}
-        remaining1 = [i for i in remaining1 if i not in used1]
-        remaining2 = [j for j in remaining2 if j not in used2]
+        # rows1 and rows2 ascend, so the pair-list tie-break and the pair
+        # order on local indices hold for the global ones.
+        a, b = np.array(pairs).T
+        a, b = rows1[a], rows2[b]
+        free1[a] = False
+        free2[b] = False
+        pairs = list(zip(a.tolist(), b.tolist()))
+        groups.append(ObjectGroup(H=Homography(hyps[k][0]), pairs=pairs))
 
     return groups

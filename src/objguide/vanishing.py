@@ -49,10 +49,12 @@ class VpParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.angle_thresh > 0.0:  # also rejects nan
-            raise ValueError("angle_thresh must be positive")
-        if not self.rng_seed >= 0:
-            raise ValueError("rng_seed must be >= 0")
+        # Residual angles lie in [0, 90], so at 90 or more every segment is
+        # an inlier of every candidate.
+        if not 0.0 < self.angle_thresh < 90.0:  # also rejects nan
+            raise ValueError("angle_thresh must be in (0, 90)")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0 and an integer")
 
 
 @dataclass(frozen=True)

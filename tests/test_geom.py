@@ -13,7 +13,6 @@ from objguide.geom import (
     canonical_quad_order,
     dlt_homographies,
     dlt_homography,
-    dlt_homography_h,
     join,
     normalize_h,
     points_in_quads,
@@ -226,9 +225,9 @@ class TestDlt:
 
 
 def _one_pair_bytes(src, dst, *args):
-    """The bytes of dlt_homography(_h)'s matrix, or None when it raises."""
+    """The bytes of dlt_homography's matrix, or None when it raises."""
     try:
-        h = dlt_homography_h(src, dst, *args) if args else dlt_homography(src, dst)
+        h = dlt_homography(src, dst, *args)
     except EstimationError:
         return None
     return h.m.tobytes()

@@ -537,6 +537,10 @@ class TestCli:
         ("--r-search", "-1"),
         ("--angle-thresh", "nan"),
         ("--gem-p", "nan"),
+        ("--gem-p", "inf"),
+        ("--gem-p", "1000"),
+        ("--angle-thresh", "90"),
+        ("--angle-thresh", "inf"),
         ("--r-search", "nan"),
         ("--vp-weight", "nan"),
         ("--vp-weight", "inf"),
@@ -555,6 +559,15 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not os.path.exists(tmp_path / "out")
+
+    def test_gem_p_underflow_names_gem_p(self, tmp_path, capsys):
+        # Every pooled descriptor underflows to zero at p = 1000.
+        scene = _write_scene(tmp_path)
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                   "--out", str(tmp_path / "out"), "--gem-p", "1000"])
+        assert rc == EXIT_PARSE
+        assert "gem_p" in capsys.readouterr().err
 
     def test_vps_rejects_nan_min_seg_len(self, tmp_path, capsys):
         # nan would otherwise drop every segment and print no VP with exit 0.

@@ -10,7 +10,6 @@ from objguide.objmatch import (
     _round_cells,
     _support,
     box_descriptor,
-    candidates,
     feature_table,
     gem_pool,
     greedy_match,
@@ -60,6 +59,12 @@ class TestGemPool:
         with pytest.raises(NoDescriptorError):
             gem_pool(np.empty((0, 8)), 3.0)
 
+    def test_underflow_names_gem_p(self):
+        # Every |d| ** 1000 underflows to 0 when no component is near 1.
+        descs = np.full((3, 16), 0.25)
+        with pytest.raises(NoDescriptorError, match="gem_p 1000.0"):
+            gem_pool(descs, 1000.0)
+
 
 class TestMatchParams:
     @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
@@ -72,9 +77,19 @@ class TestMatchParams:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_candidates_below_one_rejected(self, k):
-        # candidates() slices order[:k]; k = -1 would silently drop the last one.
+        # greedy_match slices each round's order[:, :k]; k = -1 would
+        # silently drop the last candidate.
         with pytest.raises(ValueError):
             MatchParams(k_candidates=k)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+    def test_non_integer_k_candidates_rejected(self, k):
+        # 2.5 used to fail only inside grouping, as a TypeError on a slice.
+        with pytest.raises(ValueError, match="k_candidates"):
+            MatchParams(k_candidates=k)
+
+    def test_numpy_integer_k_candidates_accepted(self):
+        assert MatchParams(k_candidates=np.int64(3)).k_candidates == 3
 
     def test_k_candidates_one_accepted(self):
         assert MatchParams(k_candidates=1).k_candidates == 1
@@ -89,6 +104,7 @@ class TestMatchParams:
 
     @pytest.mark.parametrize("field,value", [
         ("gem_p", np.nan),
+        ("gem_p", np.inf),
         ("r_search", np.nan),
         ("vp_weight", np.nan),
         ("vp_weight", np.inf),
@@ -169,21 +185,6 @@ class TestFeatureTable:
         with pytest.raises(DimensionMismatchError, match="descriptor dims differ"):
             feature_table(feats)
         assert issubclass(DimensionMismatchError, ValueError)
-
-
-class TestCandidates:
-    def test_order_and_truncation(self):
-        d1 = np.array([_unit([1.0, 0, 0])])
-        d2 = np.array([_unit([0.0, 1, 0]), _unit([1.0, 0.2, 0]), _unit([1.0, 0, 0])])
-        assert candidates(0, d1, d2, 2) == [2, 1]
-
-    def test_tie_breaks_to_lower_index(self):
-        d1 = np.array([_unit([1.0, 0])])
-        d2 = np.array([_unit([0.0, 1]), _unit([0.0, 1])])
-        assert candidates(0, d1, d2, 2) == [0, 1]
-
-    def test_empty(self):
-        assert candidates(0, np.array([_unit([1.0, 0])]), np.empty((0, 2)), 3) == []
 
 
 def support(h, b1, b2, eps):
@@ -289,3 +290,8 @@ class TestGreedyMatch:
     def test_empty_inputs(self):
         none = np.empty((0, 4, 2))
         assert greedy_match(none, none, feature_table([]), feature_table([]), MatchParams()) == []
+        # One image without boxes: the other's boxes have no candidate.
+        scene = self._scene(seed=11)
+        boxes, tables = corner_table(scene.img_a.boxes), _tables(scene)
+        assert greedy_match(boxes, none, *tables, MatchParams()) == []
+        assert greedy_match(none, boxes, *tables, MatchParams()) == []

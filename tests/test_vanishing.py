@@ -32,6 +32,25 @@ def test_negative_seed_rejected():
         VpParams(rng_seed=-1)
 
 
+@pytest.mark.parametrize("thresh", [90.0, 1000.0, np.inf, 0.0, -1.0])
+def test_angle_thresh_outside_open_quadrant_rejected(thresh):
+    # Residual angles lie in [0, 90]: at 90 every segment supports every
+    # candidate, so the facades' VPs silently merge.
+    with pytest.raises(ValueError, match="angle_thresh"):
+        VpParams(angle_thresh=thresh)
+
+
+def test_angle_thresh_below_ninety_accepted():
+    assert VpParams(angle_thresh=89.5).angle_thresh == 89.5
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "0"])
+def test_non_integer_seed_rejected(seed):
+    # 1.5 used to fail only inside estimate_vps, as numpy's TypeError.
+    with pytest.raises(ValueError, match="rng_seed"):
+        VpParams(rng_seed=seed)
+
+
 def one_row_angle(s, v):
     """Residual angle in degrees of one segment against one vanishing point:
     a one-row _residual_matrix on the segment's own direction and midpoint."""
