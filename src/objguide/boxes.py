@@ -14,8 +14,8 @@ import numpy as np
 from .geom import (
     DetBox,
     QuadBox,
-    _at_infinity,
     _edge_crosses,
+    dehomogenize,
     join,
     same_up_to_scale,
 )
@@ -94,9 +94,7 @@ def adjust_box(
     lines, bad_line = join(mids, np.stack([vp_h, vp_h, vp_v, vp_v], axis=1))
     # Corners TL, TR, BR, BL meet top/left, top/right, bottom/right, bottom/left.
     corners_h, bad_corner = join(lines[:, [0, 0, 1, 1]], lines[:, [2, 3, 3, 2]])
-    failed = same_up_to_scale(vp_h, vp_v) | np.any(
-        bad_line | bad_corner | _at_infinity(corners_h), axis=1
-    )
-    corners = corners_h[..., :2] / np.where(failed[:, None, None], 1.0, corners_h[..., 2:])
+    corners, finite = dehomogenize(corners_h)
+    failed = same_up_to_scale(vp_h, vp_v) | np.any(bad_line | bad_corner | ~finite, axis=1)
     failed |= ~np.all(_edge_crosses(corners) > 0, axis=1)
     return [None if f else QuadBox(c, b.score) for b, c, f in zip(boxes, corners, failed)]

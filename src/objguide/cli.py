@@ -37,7 +37,6 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gem-p", type=float, default=3.0)
     p.add_argument("--ratio", type=float, default=0.8)
     p.add_argument("--mode", choices=MODES, default="O")
-    p.add_argument("--vp-weight", type=float, default=None)
 
 
 class InvalidParameterError(Exception):
@@ -72,7 +71,6 @@ def _params_from_args(args) -> tuple[MatchParams, VpParams]:
         r_search=args.r_search,
         gem_p=args.gem_p,
         ratio=args.ratio,
-        vp_weight=args.vp_weight,
     )
     return mp, _vp_params(args)
 

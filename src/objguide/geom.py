@@ -47,8 +47,30 @@ def normalize_h(v: np.ndarray) -> np.ndarray:
 
 
 def _at_infinity(ph: np.ndarray) -> np.ndarray:
-    """Mask of the homogeneous points (..., 3) that lie at infinity."""
-    return np.abs(ph[..., 2]) < INFINITY_EPS * np.hypot(ph[..., 0], ph[..., 1])
+    """Mask of the homogeneous points (..., 3) that lie at infinity; the
+    zero vector is one of them."""
+    return np.abs(ph[..., 2]) <= INFINITY_EPS * np.hypot(ph[..., 0], ph[..., 1])
+
+
+def dehomogenize(ph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean points (..., 2) of homogeneous points (..., 3), and the mask
+    (...) of the finite ones.  A point at infinity keeps its x, y: its
+    direction.  The only place a point leaves homogeneous coordinates."""
+    ph = np.asarray(ph, dtype=float)
+    finite = ~_at_infinity(ph)
+    return ph[..., :2] / np.where(finite, ph[..., 2], 1.0)[..., None], finite
+
+
+def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of points (N, 2) under one homography matrix (3, 3) or each of a
+    stack (K, 3, 3): points (N, 2) or (K, N, 2) and the mask of the finite
+    ones, as dehomogenize returns them.
+
+    One stacked matmul, so each matrix's images are byte-equal to its own
+    call's (an einsum or one flattened matmul is not).
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    return dehomogenize(np.column_stack([pts, np.ones(len(pts))]) @ np.swapaxes(m, -1, -2))
 
 
 def same_up_to_scale(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,15 +146,10 @@ class Homography:
 
         Raises DegenerateInputError if any image lands at infinity.
         """
-        ph = self._map_h(pts)
-        if np.any(_at_infinity(ph)):
+        xy, finite = project_points(self.m, pts)
+        if not finite.all():
             raise DegenerateInputError("point mapped to infinity")
-        return ph[:, :2] / ph[:, 2:]
-
-    def _map_h(self, pts: np.ndarray) -> np.ndarray:
-        """Homogeneous images (N, 3) of an (N, 2) array of finite points."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        return np.column_stack([pts, np.ones(len(pts))]) @ self.m.T
+        return xy
 
 
 @dataclass(frozen=True)
@@ -275,16 +292,10 @@ def project_quads(h: np.ndarray, corners: np.ndarray) -> tuple[np.ndarray, np.nd
     convex, and every image (K, N, 4, 2) in canonical corner order; an
     image outside the mask holds meaningless finite values.
     """
-    corners = np.asarray(corners, dtype=float)
-    n = len(corners)
-    pts = np.column_stack([corners.reshape(-1, 2), np.ones(4 * n)])
-    # A stacked matmul: each matrix's product is bit-identical to its
-    # Homography._map_h (an einsum or one flattened matmul is not).
-    ph = (pts @ np.swapaxes(h, 1, 2)).reshape(len(h), n, 4, 3)
-    finite = ~np.any(_at_infinity(ph), axis=2)
-    w = np.where(finite[..., None, None], ph[..., 2:], 1.0)
-    quads = canonical_quad_order((ph[..., :2] / w).reshape(-1, 4, 2)).reshape(ph.shape[:-1] + (2,))
-    return finite & np.all(_edge_crosses(quads) > 0, axis=-1), quads
+    shape = (len(h), len(corners), 4)
+    xy, finite = project_points(h, corners)
+    quads = canonical_quad_order(xy.reshape(-1, 4, 2)).reshape(shape + (2,))
+    return finite.reshape(shape).all(axis=2) & np.all(_edge_crosses(quads) > 0, axis=-1), quads
 
 
 def bbox_overlaps(
@@ -402,17 +413,16 @@ def _hartley_transforms(pts_h: np.ndarray) -> np.ndarray:
     (R, n, 3), from its finite points: centroid to origin, mean distance
     sqrt(2).  A row with fewer than two finite points gets the identity.
     """
-    finite = ~_at_infinity(pts_h)
+    xy, finite = dehomogenize(pts_h)
     count = finite.sum(axis=1)
     t = np.tile(np.eye(3), (len(pts_h), 1, 1))
     # Rows with equal finite counts share one pass: a sum padded with
     # zeros rounds differently from the unpadded one.
     for c in np.flatnonzero(np.bincount(count)[2:]) + 2:
         rows = np.flatnonzero(count == c)
-        p = pts_h[rows][finite[rows]].reshape(len(rows), c, 3)
-        xy = p[..., :2] / p[..., 2:]
-        ctr = xy.mean(axis=1)
-        d = np.linalg.norm(xy - ctr[:, None], axis=2).mean(axis=1)
+        p = xy[rows][finite[rows]].reshape(len(rows), c, 2)
+        ctr = p.mean(axis=1)
+        d = np.linalg.norm(p - ctr[:, None], axis=2).mean(axis=1)
         spread = d > 1e-12
         s = np.where(spread, np.sqrt(2.0) / np.where(spread, d, 1.0), 1.0)
         t[rows, 0, 0] = t[rows, 1, 1] = s

@@ -22,9 +22,9 @@ from .geom import (
     Homography,
     LineSegment,
     QuadBox,
-    _at_infinity,
     dlt_homography,
     points_in_quads,
+    project_points,
     project_quads,
     quad_iou,
 )
@@ -89,8 +89,8 @@ def refine_homography(
 
     corners1 (N1, 4, 2) and corners2 (N2, 4, 2) are the images' box corners,
     which g.pairs index.  The best-supported horizontal and vertical
-    vanishing points of the two images are appended as weighted
-    correspondences, enforcing consistency of the vanishing geometry.
+    vanishing points of the two images are appended as correspondences
+    weighted by the group's pair count, for consistent vanishing geometry.
     Falls back to the initial hypothesis (with g.refined left False) when
     the system is degenerate or the refit breaks the group's IoU support.
     """
@@ -101,7 +101,6 @@ def refine_homography(
     dst_h = np.column_stack([dst, np.ones(len(dst))])
     weights = [1.0] * len(src)
 
-    omega = params.vp_weight if params.vp_weight is not None else float(len(g.pairs))
     for orientation in (HORIZONTAL, VERTICAL):
         try:
             v1 = best_by_orientation(vps1, orientation).point
@@ -110,7 +109,7 @@ def refine_homography(
             continue
         src_h = np.vstack([src_h, v1])
         dst_h = np.vstack([dst_h, v2])
-        weights.append(omega)
+        weights.append(float(len(g.pairs)))
 
     def corner_rms(h: Homography) -> float:
         try:
@@ -172,12 +171,12 @@ def guided_match(
     if not rows1.size or not rows2.size:
         return []
     pool1 = pos1[rows1]
-    ph = g.H._map_h(pool1)
-    keep = support_region(g, corners1, pool1) & ~_at_infinity(ph)
+    proj, finite = project_points(g.H.m, pool1)
+    keep = support_region(g, corners1, pool1) & finite
     usable = rows1[keep]
     if not usable.size:
         return []
-    proj = ph[keep, :2] / ph[keep, 2:]
+    proj = proj[keep]
     pool2 = pos2[rows2]
 
     # Radius query and similarities a block of projections at a time, so the

@@ -226,8 +226,15 @@ def read_feature_pairs(path: str) -> dict[int, int]:
 
 
 def read_pairs(path: str) -> list[list[str]]:
-    """Batch pair list: one 'dir1 dir2 outdir' record per line."""
-    return [_fields(path, no, line, 3, str) for no, line in _lines(path)]
+    """Batch pair list: one 'dir1 dir2 outdir' record per line, no outdir
+    named twice (compared as normalized absolute paths)."""
+    pairs, first = [], {}
+    for no, line in _lines(path):
+        pairs.append(_fields(path, no, line, 3, str))
+        out = first.setdefault(os.path.abspath(pairs[-1][2]), no)
+        if out != no:
+            raise ParseError(path, no, f"output directory repeats line {out}")
+    return pairs
 
 
 # -- whole-image bundles ----------------------------------------------------

@@ -60,7 +60,6 @@ class MatchParams:
     gem_p: float = 3.0
     r_search: float = 20.0
     ratio: float = 0.8
-    vp_weight: float | None = None  # None: one corner-set per supporting pair
 
     def __post_init__(self):
         if not isinstance(self.k_candidates, (int, np.integer)) or self.k_candidates < 1:
@@ -74,8 +73,6 @@ class MatchParams:
             raise ValueError("r_search must be >= 0")
         if not (0.0 < self.ratio <= 1.0):
             raise ValueError("ratio must be in (0, 1]")
-        if self.vp_weight is not None and not (0.0 <= self.vp_weight < np.inf):
-            raise ValueError("vp_weight must be finite and >= 0")
 
 
 @dataclass

@@ -17,9 +17,9 @@ from .geom import (
     DetBox,
     Homography,
     QuadBox,
-    _at_infinity,
     bbox_overlaps,
     join,
+    project_points,
     project_quads,
     quad_iou,
 )
@@ -127,11 +127,10 @@ def build_rectifier(
 
     bp = b @ p
     endpoints = np.stack(segs[:2], axis=1).reshape(-1, 2)  # rows p0, q0, p1, q1, ...
-    ph = np.column_stack([endpoints, np.ones(len(endpoints))]) @ bp.T
-    good = ~_at_infinity(ph)
+    mapped, good = project_points(bp, endpoints)
     if good.sum() < 2:
         raise RectifierDegenerateError("all segment endpoints near the vanishing line")
-    mapped = ph[good, :2] / ph[good, 2:]
+    mapped = mapped[good]
     orig = endpoints[good]
 
     s_mat = np.eye(3)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import DetBox, Homography, LineSegment, QuadBox, _at_infinity, normalize_h
+from .geom import DetBox, Homography, LineSegment, QuadBox, dehomogenize, normalize_h, project_points
 from .guided import ImageInputs, Match, MatchSet
 from .objmatch import Feature
 from .rectify import build_plane_rectifiers
@@ -81,8 +81,8 @@ class SceneSpec:
     with_rect_boxes: bool = False
 
     def __post_init__(self):
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be >= 0 and an integer")
         if self.feature_mode not in ("corners+center", "center"):
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
 
@@ -179,11 +179,6 @@ def _window_world_corners(plane: PlaneSpec) -> list[np.ndarray]:
     return out
 
 
-def _project(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ph = np.column_stack([pts, np.ones(len(pts))]) @ h.T
-    return ph[:, :2] / ph[:, 2:3]
-
-
 def _rotate_about_mid(seg: LineSegment, deg: float) -> LineSegment:
     c, s = np.cos(np.radians(deg)), np.sin(np.radians(deg))
     rot = np.array([[c, -s], [s, c]])
@@ -217,19 +212,20 @@ def _plant_view(
              for c in range(plane.cols + 1)]
     segs = []
     for a, b in ends:
-        p, q = _project(h, np.vstack([a, b]))
+        (p, q), _ = project_points(h, np.vstack([a, b]))
         if np.linalg.norm(q - p) < 20.0:
             continue
         seg = LineSegment(p, q)
         if noise_deg > 0:
             seg = _rotate_about_mid(seg, rng.uniform(-noise_deg, noise_deg))
         segs.append(seg)
-    quads = [_project(h, q) for q in windows]
+    quads = [project_points(h, q)[0] for q in windows]
     if feature_mode == "corners+center":
         world_pts = [p for q in windows for p in (*q, q.mean(axis=0))]
     else:
         world_pts = [q.mean(axis=0) for q in windows]
-    return segs, quads, [_project(h, p[None, :])[0] for p in world_pts]
+    # One point per call: a stacked product can round differently.
+    return segs, quads, [project_points(h, p)[0][0] for p in world_pts]
 
 
 def _outlier_segment(rng: np.random.Generator, width: int, height: int) -> LineSegment:
@@ -412,10 +408,10 @@ def pencil_segments(
     vp = np.asarray(vp, dtype=float)
     x0, y0, x1, y1 = region
     out = []
-    infinite = bool(_at_infinity(vp))
+    xy, finite = dehomogenize(vp)
     for _ in range(n):
         mid = rng.uniform([x0, y0], [x1, y1])
-        d = vp[:2] if infinite else vp[:2] / vp[2] - mid
+        d = xy - mid if finite else xy
         d = d / np.linalg.norm(d)
         half = 0.5 * rng.uniform(*length_range) * d
         seg = LineSegment(mid - half, mid + half)

@@ -23,8 +23,8 @@ import numpy as np
 from .geom import (
     DegenerateInputError,
     LineSegment,
-    _at_infinity,
     _hartley_transforms,
+    dehomogenize,
     join,
     normalize_h,
 )
@@ -88,11 +88,8 @@ def _residual_matrix(vps: np.ndarray, dirs: np.ndarray, mids: np.ndarray) -> np.
     Returns (k, m) degrees in [0, 90].  atan2(|cross|, |dot|) stays exact
     near 0 degrees, where arccos of the cosine loses about 1e-6 degrees.
     """
-    xy = vps[:, :2]
-    inf = _at_infinity(vps)
-    safe_w = np.where(inf, 1.0, vps[:, 2])
-    finite_t = xy[:, None, :] / safe_w[:, None, None] - mids[None, :, :]
-    t = np.where(inf[:, None, None], np.broadcast_to(xy[:, None, :], finite_t.shape), finite_t)
+    xy, finite = dehomogenize(vps)
+    t = xy[:, None, :] - np.where(finite[:, None, None], mids, 0.0)
     cross = np.abs(t[..., 0] * dirs[:, 1] - t[..., 1] * dirs[:, 0])
     dot = np.abs(np.einsum("kmj,mj->km", t, dirs))
     den = np.linalg.norm(t, axis=2) * np.linalg.norm(dirs, axis=1)
@@ -125,12 +122,11 @@ def _inlier_counts(
             _inlier_counts(cands[i : i + step], dirs, mids, thresh)
             for i in range(0, len(cands), step)
         ])
-    inf = _at_infinity(cands)
-    safe_w = np.where(inf, 1.0, cands[:, 2])
-    tx = np.subtract.outer(cands[:, 0] / safe_w, mids[:, 0])
-    ty = np.subtract.outer(cands[:, 1] / safe_w, mids[:, 1])
-    tx[inf] = cands[inf, 0:1]
-    ty[inf] = cands[inf, 1:2]
+    xy, finite = dehomogenize(cands)
+    tx = np.subtract.outer(xy[:, 0], mids[:, 0])
+    ty = np.subtract.outer(xy[:, 1], mids[:, 1])
+    tx[~finite] = xy[~finite, 0:1]
+    ty[~finite] = xy[~finite, 1:2]
     cross = tx * dirs[:, 1]
     cross -= ty * dirs[:, 0]
     np.abs(cross, out=cross)
@@ -245,11 +241,8 @@ def classify(
     center = np.asarray(center, dtype=float)
     vertical_flags = []
     for vp in vps:
-        v = vp.point
-        if _at_infinity(v):
-            d = v[:2]
-        else:
-            d = v[:2] / v[2] - center
+        xy, finite = dehomogenize(vp.point)
+        d = xy - center if finite else xy
         dn = np.linalg.norm(d)
         if dn < 1e-12:
             vertical_flags.append(False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from objguide.geom import (
     QuadBox,
     _at_infinity,
     canonical_quad_order,
+    dehomogenize,
     dlt_homographies,
     dlt_homography,
     join,
     normalize_h,
     points_in_quads,
+    project_points,
     project_quads,
     quad_iou,
     same_up_to_scale,
@@ -172,6 +176,40 @@ class TestHomography:
             pts = rng.uniform(-500, 500, (10, 2))
             back = h.inv.map_points(h.map_points(pts))
             assert np.abs(back - pts).max() < 1e-8
+
+
+class TestProjectPoints:
+    # x = 512 goes to infinity.
+    H = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0 / 512, 0, 1.0]])
+
+    def test_stack_rows_equal_single_matrices(self):
+        rng = np.random.default_rng(3)
+        stack = np.eye(3) + 0.2 * rng.standard_normal((6, 3, 3))
+        pts = rng.uniform(-500, 500, (40, 2))
+        xy, finite = project_points(stack, pts)
+        assert xy.shape == (6, 40, 2) and finite.shape == (6, 40)
+        for k, m in enumerate(stack):
+            one_xy, one_finite = project_points(m, pts)
+            assert one_xy.tobytes() == xy[k].tobytes()
+            assert np.array_equal(one_finite, finite[k])
+
+    def test_point_on_line_sent_to_infinity(self):
+        pts = np.array([[512.0, 30.0], [100.0, 20.0]])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xy, finite = project_points(self.H, pts)
+        assert finite.tolist() == [False, True]
+        assert np.isfinite(xy).all()
+        assert np.array_equal(xy[0], [512.0, 30.0])  # the direction (x, y)
+        with pytest.raises(DegenerateInputError, match="infinity"):
+            Homography(self.H).map_points(pts)
+
+    def test_dehomogenize(self):
+        xy, finite = dehomogenize(np.array([[3.0, -4.0, 0.0], [0.0, 0.0, 0.0], [2.0, 6.0, 2.0]]))
+        assert finite.tolist() == [False, False, True]
+        assert xy.tolist() == [[3.0, -4.0], [0.0, 0.0], [1.0, 3.0]]
+        xy, finite = dehomogenize(np.array([3.0, -4.0, 0.0]))
+        assert xy.tolist() == [3.0, -4.0] and not finite
 
 
 class TestDlt:

@@ -168,7 +168,7 @@ def _reference_guided(feats1, feats2, g, boxes1, params, claimed1=(), claimed2=(
     desc2 = np.array([f.desc for f in pool2])
     pool1 = [f for f in sorted(feats1, key=lambda f: f.id) if f.id not in claimed1]
     pos1 = np.array([f.pos for f in pool1], dtype=float).reshape(-1, 2)
-    ph = g.H._map_h(pos1)
+    ph = np.column_stack([pos1, np.ones(len(pos1))]) @ g.H.m.T
     usable = support_region(g, boxes1, pos1) & ~_at_infinity(ph)
     cand_lists, order1 = {}, []
     for k in np.flatnonzero(usable):

@@ -285,6 +285,7 @@ MALFORMED = {
     "dims-text": (_read_dims, "dims.txt", [], "1280 h"),
     "dims-value": (_read_dims, "dims.txt", [], "1280 0"),
     "pairs-count": (formats.read_pairs, "pairs.txt", ["a/x a/y out0"], "a/x a/y"),
+    "pairs-repeated-out": (formats.read_pairs, "pairs.txt", ["a b out", "c d x"], "e f ./x/"),
 }
 
 
@@ -542,9 +543,6 @@ class TestCli:
         ("--angle-thresh", "90"),
         ("--angle-thresh", "inf"),
         ("--r-search", "nan"),
-        ("--vp-weight", "nan"),
-        ("--vp-weight", "inf"),
-        ("--vp-weight", "-1"),
         ("--min-seg-len", "nan"),
         ("--min-seg-len", "-1"),
         ("--jobs", "0"),
@@ -603,6 +601,19 @@ class TestCli:
         assert "not both" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "batch_out")
         assert not os.path.exists(tmp_path / "flag_out")
+
+    def test_pairs_file_repeated_out_dir_exit_code(self, tmp_path, capsys):
+        # Rejected before any pair runs: the later pair would overwrite the
+        # earlier one's files, or share the directory with it at --jobs 2.
+        scene = _write_scene(tmp_path)
+        out = tmp_path / "out"
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"{scene}/a {scene}/b {out}\n{scene}/b {scene}/a {out}/\n")
+        capsys.readouterr()
+        assert main(["match", "--pairs-file", str(pairs), "--jobs", "2"]) == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {pairs}:2: output directory repeats line 1"]
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["vps", "rectify"])
     @pytest.mark.parametrize("flag,value", [("--iou-thresh", "0"), ("--mode", "O")])

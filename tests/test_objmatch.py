@@ -106,9 +106,6 @@ class TestMatchParams:
         ("gem_p", np.nan),
         ("gem_p", np.inf),
         ("r_search", np.nan),
-        ("vp_weight", np.nan),
-        ("vp_weight", np.inf),
-        ("vp_weight", -1.0),
     ])
     def test_nan_and_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):

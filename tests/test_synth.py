@@ -55,6 +55,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             _spec(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "0"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 used to build and then fail inside numpy's seeding.
+        with pytest.raises(ValueError, match="an integer"):
+            dataclasses.replace(preset("single", 0), seed=seed)
+
     def test_unknown_feature_mode_rejected(self):
         # Any mode but "corners+center" used to plant window centres only.
         with pytest.raises(ValueError, match="unknown feature_mode 'corners'"):
