@@ -9,7 +9,7 @@ from .geom import (
     quad_iou,
 )
 from .guided import ImageInputs, Match, MatchSet, match_pair
-from .objmatch import Feature, MatchParams, ObjectGroup, greedy_match
+from .objmatch import Feature, ObjectGroup, greedy_match
 from .rectify import ColumnInterval, Rectifier
 from .vanishing import VanishingPoint, VpParams, classify, estimate_vps
 
@@ -21,7 +21,6 @@ __all__ = [
     "ImageInputs",
     "LineSegment",
     "Match",
-    "MatchParams",
     "MatchSet",
     "ObjectGroup",
     "QuadBox",

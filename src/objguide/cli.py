@@ -1,8 +1,8 @@
 """Command line driver: scene synthesis, stage-wise tools, matching, scoring.
 
-Exit codes: 0 success, 2 input parse failure (with file:line diagnostics)
-or invalid parameter value, 3 descriptor dimension mismatch between the
-two images.
+Exit codes: 0 success, 2 input parse failure (with file:line diagnostics),
+invalid parameter value or a path that cannot be read or written, 3
+descriptor dimension mismatch between the two images.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import io as formats
 from .guided import match_pair
-from .objmatch import DimensionMismatchError, MatchParams, NoDescriptorError
+from .objmatch import DimensionMismatchError
 from .rectify import MODES, build_plane_rectifiers
 from .synth import PRESETS, GroundTruth, generate, preset, score
 from .vanishing import VpParams, image_vps, segment_arrays
@@ -27,16 +27,6 @@ def _add_vp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--angle-thresh", type=float, default=2.0)
     p.add_argument("--min-seg-len", type=float, default=20.0)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    _add_vp_flags(p)
-    p.add_argument("--k-candidates", type=int, default=5)
-    p.add_argument("--iou-thresh", type=float, default=0.5)
-    p.add_argument("--r-search", type=float, default=20.0)
-    p.add_argument("--gem-p", type=float, default=3.0)
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--mode", choices=MODES, default="O")
 
 
 class InvalidParameterError(Exception):
@@ -63,22 +53,10 @@ def _image_size(args) -> tuple[int, int]:
     return args.width, args.height
 
 
-def _params_from_args(args) -> tuple[MatchParams, VpParams]:
-    mp = _checked(
-        MatchParams,
-        k_candidates=args.k_candidates,
-        eps_iou=args.iou_thresh,
-        r_search=args.r_search,
-        gem_p=args.gem_p,
-        ratio=args.ratio,
-    )
-    return mp, _vp_params(args)
-
-
-def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
+def _run_one_pair(dir1: str, dir2: str, out: str, args, vp_params: VpParams) -> dict:
     img1 = formats.read_image_dir(dir1, min_seg_len=args.min_seg_len)
     img2 = formats.read_image_dir(dir2, min_seg_len=args.min_seg_len)
-    ms, report = match_pair(img1, img2, *params, mode=args.mode)
+    ms, report = match_pair(img1, img2, vp_params, mode=args.mode)
     os.makedirs(out, exist_ok=True)
     formats.write_matches(os.path.join(out, "matches.txt"), ms)
     formats.write_groups(os.path.join(out, "groups.txt"), ms.groups)
@@ -87,20 +65,20 @@ def _run_one_pair(dir1: str, dir2: str, out: str, args, params) -> dict:
 
 
 def cmd_match(args) -> int:
-    params = _params_from_args(args)
+    vp_params = _vp_params(args)
     if args.jobs < 1:
         raise InvalidParameterError("invalid parameter: jobs must be >= 1")
     if args.pairs_file:
         jobs = formats.read_pairs(args.pairs_file)
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one_pair, a, b, o, args, params) for a, b, o in jobs]
+            futures = [pool.submit(_run_one_pair, a, b, o, args, vp_params) for a, b, o in jobs]
             reports = [f.result() for f in futures]
         for (a, b, _o), rep in zip(jobs, reports):
             print(f"{a} {b}: groups={rep['groups']} guided={rep['guided_matches']} "
                   f"additional={rep['additional_matches']}")
         return 0
 
-    rep = _run_one_pair(args.dir1, args.dir2, args.out, args, params)
+    rep = _run_one_pair(args.dir1, args.dir2, args.out, args, vp_params)
     for k, v in rep.items():
         print(f"{k} {v}")
     return 0
@@ -176,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--pairs-file", help="batch mode: lines of 'dir1 dir2 outdir'")
     p.add_argument("--jobs", type=int, default=1)
-    _add_match_flags(p)
+    _add_vp_flags(p)
+    p.add_argument("--mode", choices=MODES, default="O")
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("vps", help="estimate vanishing points from segments")
@@ -224,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("match needs --pairs-file, or all of --dir1, --dir2 and --out")
     try:
         return args.func(args)
-    except (formats.ParseError, FileNotFoundError, InvalidParameterError, NoDescriptorError) as exc:
+    except (formats.ParseError, OSError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatchError as exc:

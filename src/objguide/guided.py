@@ -29,10 +29,10 @@ from .geom import (
     quad_iou,
 )
 from .objmatch import (
+    EPS_IOU,
     DimensionMismatchError,
     Feature,
     FeatureTable,
-    MatchParams,
     ObjectGroup,
     feature_table,
     greedy_assign,
@@ -61,6 +61,8 @@ from .vanishing import (
 SUPPORT_MARGIN = 0.5  # dilation of the supporting quads for guided matching
 SIM_THRESH = 0.0  # lowest descriptor cosine a guided candidate may have
 QUERY_CELLS = 1 << 16  # distance cells per block of the guided radius query
+R_SEARCH = 20.0  # guided search radius around a projected feature, in pixels
+RATIO = 0.8  # ratio test of the fallback matching
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ def refine_homography(
     corners2: np.ndarray,
     vps1: list[VanishingPoint],
     vps2: list[VanishingPoint],
-    params: MatchParams,
 ) -> Homography:
     """Re-estimate the group homography from all supporting corners.
 
@@ -129,7 +130,7 @@ def refine_homography(
     if corner_rms(refined) > corner_rms(g.H) + 1e-9:
         return g.H
     [valid], [proj] = project_quads(refined.m[None], corners1)
-    if not valid.all() or np.any(quad_iou(proj, corners2) < params.eps_iou):
+    if not valid.all() or np.any(quad_iou(proj, corners2) < EPS_IOU):
         return g.H
 
     g.H = refined
@@ -151,7 +152,7 @@ def guided_match(
     table2: FeatureTable,
     g: ObjectGroup,
     corners1: np.ndarray,
-    params: MatchParams,
+    r_search: float,
     group_id: int,
     free1: np.ndarray,
     free2: np.ndarray,
@@ -188,7 +189,7 @@ def guided_match(
         rows = usable[start : start + step]
         dx = pool2[:, 0] - proj[start : start + step, :1]
         dy = pool2[:, 1] - proj[start : start + step, 1:]
-        k, l = np.nonzero(np.sqrt(dx * dx + dy * dy) <= params.r_search)
+        k, l = np.nonzero(np.sqrt(dx * dx + dy * dy) <= r_search)
         sim = np.vecdot(desc1[rows[k]], desc2[rows2[l]])
         ok = sim >= SIM_THRESH
         edges.append((rows[k[ok]], rows2[l[ok]], sim[ok]))
@@ -282,7 +283,6 @@ def _detection_streams(
 def match_pair(
     img1: ImageInputs,
     img2: ImageInputs,
-    params: MatchParams | None = None,
     vp_params: VpParams | None = None,
     mode: str = "O",
 ) -> tuple[MatchSet, dict]:
@@ -292,7 +292,6 @@ def match_pair(
     given vp_params.rng_seed.  Raises DimensionMismatchError, before any
     per-image work, when the two images' descriptors differ in length.
     """
-    params = params or MatchParams()
     vp_params = vp_params or VpParams()
 
     # One feature table per image serves every matching stage.  A featureless
@@ -315,23 +314,23 @@ def match_pair(
         report[f"boxes_{tag}"] = len(corners)
     (vps1, corners1, table1), (vps2, corners2, table2) = per_image
 
-    groups = greedy_match(corners1, corners2, table1, table2, params)
+    groups = greedy_match(corners1, corners2, table1, table2)
     for g in groups:
-        refine_homography(g, corners1, corners2, vps1, vps2, params)
+        refine_homography(g, corners1, corners2, vps1, vps2)
     report["groups"] = len(groups)
 
     matches: list[Match] = []
     free1 = np.ones(len(table1[0]), dtype=bool)
     free2 = np.ones(len(table2[0]), dtype=bool)
     for gid, g in enumerate(groups):
-        matches += guided_match(table1, table2, g, corners1, params, gid, free1, free2)
+        matches += guided_match(table1, table2, g, corners1, R_SEARCH, gid, free1, free2)
     report["guided_matches"] = len(matches)
 
     # The fallback sees the leftover rows only; the full tables are freed first.
     del per_image
     table1 = tuple(col[free1] for col in table1)
     table2 = tuple(col[free2] for col in table2)
-    extra = additional_matches(table1, table2, params.ratio)
+    extra = additional_matches(table1, table2, RATIO)
     report["additional_matches"] = len(extra)
 
     all_matches = sorted(matches + extra, key=lambda m: (m.i, m.j))

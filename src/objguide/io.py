@@ -116,7 +116,11 @@ def read_quads(path: str) -> list[tuple[QuadBox, str]]:
 # -- features ---------------------------------------------------------------
 
 def write_features(path: str, feats: list[Feature]) -> None:
+    """Rows in id order.  read_features numbers features by row, so the ids
+    must be exactly 0..n-1; anything else raises ValueError."""
     feats = sorted(feats, key=lambda f: f.id)
+    if [f.id for f in feats] != list(range(len(feats))):
+        raise ValueError("feature ids must be exactly 0..n-1 to survive read_features")
     dim = len(feats[0].desc) if feats else 0
     _write(path, [f"D {dim}", *(_join([*f.pos, *f.desc]) for f in feats)])
 

@@ -22,6 +22,9 @@ from .geom import (
     quad_iou,
 )
 
+K_CANDIDATES = 5  # most similar image-2 boxes each image-1 box visits per round
+EPS_IOU = 0.5  # IoU at which a box pair supports a homography
+GEM_P = 3.0  # GeM pooling exponent of the box descriptors
 SUPPORT_CELLS = 1 << 10  # overlap cells per block of support IoUs in a grouping round
 
 
@@ -51,28 +54,6 @@ class Feature:
             raise ValueError("feature descriptor must be unit norm")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "desc", desc)
-
-
-@dataclass(frozen=True)
-class MatchParams:
-    k_candidates: int = 5
-    eps_iou: float = 0.5
-    gem_p: float = 3.0
-    r_search: float = 20.0
-    ratio: float = 0.8
-
-    def __post_init__(self):
-        if not isinstance(self.k_candidates, (int, np.integer)) or self.k_candidates < 1:
-            raise ValueError("k_candidates must be >= 1 and an integer")
-        if not (0.0 < self.eps_iou <= 1.0):
-            raise ValueError("eps_iou must be in (0, 1]")
-        # Each test is written so that nan fails it; gem_p = inf pools to sign vectors.
-        if not 1.0 <= self.gem_p < np.inf:
-            raise ValueError("gem_p must be finite and >= 1")
-        if not self.r_search >= 0.0:
-            raise ValueError("r_search must be >= 0")
-        if not (0.0 < self.ratio <= 1.0):
-            raise ValueError("ratio must be in (0, 1]")
 
 
 @dataclass
@@ -178,7 +159,7 @@ def _round_cells(
     overlap cells (K, N1, N2), none set for a projection that is not finite
     and strictly convex, and each hypothesis's support bound (K,).  Only a
     projected quad whose bounding box overlaps an image-2 box can reach
-    IoU >= eps_iou > 0, and pairing is one-to-one, so the support is at
+    IoU >= EPS_IOU > 0, and pairing is one-to-one, so the support is at
     most the smaller of the number of such quads and the number of image-2
     boxes they overlap.
     """
@@ -253,7 +234,6 @@ def greedy_match(
     corners2: np.ndarray,
     table1: FeatureTable,
     table2: FeatureTable,
-    params: MatchParams,
 ) -> list[ObjectGroup]:
     """Extract object groups by repeated best-supported homography hypotheses.
 
@@ -263,36 +243,29 @@ def greedy_match(
     by larger summed IoU, then by the lexicographically smaller supporting
     pair list.
     """
-    descs1 = box_descriptor(corners1, table1[1], table1[2], params.gem_p)
-    descs2 = box_descriptor(corners2, table2[1], table2[2], params.gem_p)
+    descs1 = box_descriptor(corners1, table1[1], table1[2], GEM_P)
+    descs2 = box_descriptor(corners2, table2[1], table2[2], GEM_P)
 
     sims = descs1 @ descs2.T
     free1 = np.ones(len(corners1), dtype=bool)
     free2 = np.ones(len(corners2), dtype=bool)
     groups: list[ObjectGroup] = []
-    # A hypothesis depends only on its two quads: each box pair's estimated
-    # and unit matrices, or its failure (None), are computed once for all
-    # rounds, one hypothesis call per round for the pairs it meets first.
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray] | None] = {}
 
     while free1.any() and free2.any():
         rows1, rows2 = np.flatnonzero(free1), np.flatnonzero(free2)
-        # Each free image-1 box visits its k most similar free image-2 boxes
+        # Each free image-1 box visits its K_CANDIDATES most similar free image-2 boxes
         # in descending similarity; an exact tie goes to the lower index.
         order = np.argsort(-sims[np.ix_(rows1, rows2)], axis=1, kind="stable")
-        cand = rows2[order[:, : params.k_candidates]]
-        visit = list(zip(np.repeat(rows1, cand.shape[1]).tolist(), cand.ravel().tolist()))
-        new = [p for p in visit if p not in cache]
-        if new:
-            i, j = np.array(new).T
-            m, unit, ok = hypothesis(corners1[i], corners2[j])
-            cache.update(zip(new, [(r, u) if o else None for r, u, o in zip(m, unit, ok)]))
-        hyps = [cache[p] for p in visit if cache[p] is not None]  # in visiting order
-        if not hyps:
+        cand = rows2[order[:, :K_CANDIDATES]]
+        # One hypothesis call per round on its visits; the estimated ones keep
+        # visiting order.  Most visits are first visits, so none are kept.
+        m, unit, ok = hypothesis(corners1[np.repeat(rows1, cand.shape[1])], corners2[cand.ravel()])
+        if not ok.any():
             break
+        m, unit = m[ok], unit[ok]
         sub2 = corners2[rows2]
-        proj, cells, bound = _round_cells(np.array([u for _, u in hyps]), corners1[rows1], sub2)
-        won = _best_support(proj, cells, bound, sub2, params.eps_iou)
+        proj, cells, bound = _round_cells(unit, corners1[rows1], sub2)
+        won = _best_support(proj, cells, bound, sub2, EPS_IOU)
         if won is None:
             break
         k, pairs = won
@@ -303,6 +276,6 @@ def greedy_match(
         free1[a] = False
         free2[b] = False
         pairs = list(zip(a.tolist(), b.tolist()))
-        groups.append(ObjectGroup(H=Homography(hyps[k][0]), pairs=pairs))
+        groups.append(ObjectGroup(H=Homography(m[k]), pairs=pairs))
 
     return groups

@@ -39,7 +39,7 @@ from objguide.io import (
     write_quads,
     write_segments,
 )
-from objguide.objmatch import Feature, MatchParams, ObjectGroup, feature_table, greedy_match
+from objguide.objmatch import EPS_IOU, Feature, ObjectGroup, feature_table, greedy_match
 from objguide.rectify import (
     backproject_quad,
     build_plane_rectifiers,
@@ -296,7 +296,6 @@ def _two_plane_spec(seed):
 
 
 def test_criterion_6_greedy_object_matching():
-    params = MatchParams()
     recalls, distractor_hits = [], 0
     for seed in range(100):
         scene = generate(_two_plane_spec(seed))
@@ -304,7 +303,7 @@ def test_criterion_6_greedy_object_matching():
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
         c1, c2 = np.array([q.corners for q in b1]), np.array([q.corners for q in b2])
         groups = greedy_match(
-            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features)
         )
         seen1, seen2 = set(), set()
         for g in groups:
@@ -315,7 +314,7 @@ def test_criterion_6_greedy_object_matching():
                 seen1.add(i)
                 seen2.add(j)
                 proj = QuadBox(canonical_quad_order(g.H.map_points(b1[i].corners)))
-                assert quad_iou(proj, b2[j]) >= params.eps_iou
+                assert quad_iou(proj, b2[j]) >= EPS_IOU
                 if scene.gt.box_plane_a[i] == -1 or scene.gt.box_plane_b[j] == -1:
                     distractor_hits += 1
         found = {p for g in groups for p in g.pairs}
@@ -385,7 +384,6 @@ def test_criterion_8_refinement_monotonicity():
             rows=3, cols=4,
         )
     ]
-    params = MatchParams()
     init, refined = [], []
     for seed in range(100):
         scene = generate(
@@ -399,12 +397,12 @@ def test_criterion_8_refinement_monotonicity():
         b2 = [QuadBox.from_detbox(b) for b in scene.img_b.boxes]
         c1, c2 = np.array([q.corners for q in b1]), np.array([q.corners for q in b2])
         groups = greedy_match(
-            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features), params
+            c1, c2, feature_table(scene.img_a.features), feature_table(scene.img_b.features)
         )
         assert groups
         g = groups[0]
         before = homography_rms(g.H, 0, scene.gt)
-        refine_homography(g, c1, c2, [], [], params)
+        refine_homography(g, c1, c2, [], [])
         after = homography_rms(g.H, 0, scene.gt)
         init.append(before)
         refined.append(after)

@@ -23,7 +23,15 @@ from objguide.geom import (
     dlt_homography,
     quad_iou,
 )
-from objguide.objmatch import MatchParams, feature_table, gem_pool, greedy_assign, greedy_match
+from objguide.objmatch import (
+    EPS_IOU,
+    GEM_P,
+    K_CANDIDATES,
+    feature_table,
+    gem_pool,
+    greedy_assign,
+    greedy_match,
+)
 from objguide.rectify import DEDUP_IOU, MODES, merge_detections
 from objguide.synth import generate
 
@@ -64,12 +72,12 @@ def test_greedy_assign_matches_argmax_loop(seed):
         assert list(zip(a[kept].tolist(), b[kept].tolist())) == _reference_pairs(score, 1.0)
 
 
-def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
+def reference_greedy_match(boxes1, boxes2, feats1, feats2):
     """Unbounded greedy grouping with all-pairs IoU scoring."""
     ref = feats1 or feats2
     dim = len(ref[0].desc) if ref else 0
-    d1 = _reference_descriptors(boxes1, feats1, dim, params.gem_p)
-    d2 = _reference_descriptors(boxes2, feats2, dim, params.gem_p)
+    d1 = _reference_descriptors(boxes1, feats1, dim, GEM_P)
+    d2 = _reference_descriptors(boxes2, feats2, dim, GEM_P)
     corners2 = np.array([q.corners for q in boxes2]).reshape(-1, 4, 2)
     rem1, rem2 = list(range(len(boxes1))), list(range(len(boxes2)))
     groups = []
@@ -77,7 +85,7 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
         best = None
         for i in rem1:
             sims = d2[rem2] @ d1[i]
-            for lj in np.argsort(-sims, kind="stable")[: params.k_candidates]:
+            for lj in np.argsort(-sims, kind="stable")[:K_CANDIDATES]:
                 try:
                     h = dlt_homography(boxes1[i].corners, boxes2[rem2[lj]].corners)
                 except (EstimationError, DegenerateInputError):
@@ -91,7 +99,7 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
                     iou[a] = quad_iou(
                         np.broadcast_to(pq.corners, (len(rem2), 4, 2)), corners2[rem2]
                     )
-                local = _reference_pairs(iou, params.eps_iou)
+                local = _reference_pairs(iou, EPS_IOU)
                 if len(local) < 2:
                     continue
                 pairs = [(rem1[a], rem2[b]) for a, b in local]
@@ -108,15 +116,14 @@ def reference_greedy_match(boxes1, boxes2, feats1, feats2, params):
     return groups
 
 
-def _assert_same_groups(boxes1, boxes2, feats1, feats2, params=None):
-    params = params or MatchParams()
+def _assert_same_groups(boxes1, boxes2, feats1, feats2):
     # A featureless image's table takes the other image's dimension, as in
     # match_pair.
     ref = feats1 or feats2
     dim = len(ref[0].desc) if ref else 0
     tables = feature_table(feats1, dim), feature_table(feats2, dim)
-    got = greedy_match(corner_table(boxes1), corner_table(boxes2), *tables, params)
-    want = reference_greedy_match(boxes1, boxes2, feats1, feats2, params)
+    got = greedy_match(corner_table(boxes1), corner_table(boxes2), *tables)
+    want = reference_greedy_match(boxes1, boxes2, feats1, feats2)
     assert [(g.pairs, g.H.m.tobytes()) for g in got] == want
     return got
 

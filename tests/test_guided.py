@@ -6,6 +6,7 @@ import pytest
 from objguide import synth
 from objguide.geom import DetBox, Homography, _at_infinity
 from objguide.guided import (
+    R_SEARCH,
     SIM_THRESH,
     Match,
     MatchSet,
@@ -19,7 +20,6 @@ from objguide import guided
 from objguide.objmatch import (
     DimensionMismatchError,
     Feature,
-    MatchParams,
     ObjectGroup,
     feature_table,
 )
@@ -57,11 +57,11 @@ def _rows(table, free):
     return tuple(col[free] for col in table)
 
 
-def _guided(feats1, feats2, g, boxes, params, group_id=0, claimed1=(), claimed2=()):
+def _guided(feats1, feats2, g, boxes, r_search=R_SEARCH, group_id=0, claimed1=(), claimed2=()):
     """guided_match on the features' tables with the claimed ids masked out."""
     t1, t2 = feature_table(feats1), feature_table(feats2)
     free1, free2 = _free(t1, claimed1), _free(t2, claimed2)
-    return guided_match(t1, t2, g, boxes, params, group_id, free1, free2)
+    return guided_match(t1, t2, g, boxes, r_search, group_id, free1, free2)
 
 
 def _additional(feats1, feats2, already, ratio):
@@ -114,7 +114,7 @@ class TestGuidedMatch:
         f2 = self._grid(shared=shared, shift=np.array([5.0, 3.0]))
         boxes = corner_table([DetBox(-50, -50, 350, 350)])
         g = ObjectGroup(H=_shift(5, 3), pairs=[(0, 0)])
-        got = _guided(f1, f2, g, boxes, MatchParams())
+        got = _guided(f1, f2, g, boxes)
         assert len(got) == 16
         assert all(m.i == m.j for m in got)  # identical ids = true partners
         # The unguided baseline has no way to tell identical descriptors apart.
@@ -127,8 +127,8 @@ class TestGuidedMatch:
         f2 = [_feat(0, [100.0, 0], shared)]
         boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        assert _guided(f1, f2, g, boxes, MatchParams(r_search=20.0)) == []
-        got = _guided(f1, f2, g, boxes, MatchParams(r_search=150.0))
+        assert _guided(f1, f2, g, boxes, 20.0) == []
+        got = _guided(f1, f2, g, boxes, 150.0)
         assert [(m.i, m.j) for m in got] == [(0, 0)]
 
     def test_conflict_keeps_higher_similarity(self):
@@ -140,7 +140,7 @@ class TestGuidedMatch:
         f2 = [_feat(0, [1.0, 0], target), _feat(1, [4.0, 0], [0.8, 0.6, 0, 0])]
         boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        got = _guided(f1, f2, g, boxes, MatchParams(r_search=20.0))
+        got = _guided(f1, f2, g, boxes, 20.0)
         by_i = {m.i: m.j for m in got}
         assert by_i[1] == 0  # exact-match pair wins the conflict
         assert by_i[0] == 1  # the other one takes its next candidate
@@ -154,12 +154,12 @@ class TestGuidedMatch:
         t1, t2 = feature_table(f1), feature_table(f2)
         for free in (([False], [True]), ([True], [False])):
             free1, free2 = map(np.array, free)
-            assert guided_match(t1, t2, g, boxes, MatchParams(), 0, free1, free2) == []
+            assert guided_match(t1, t2, g, boxes, R_SEARCH, 0, free1, free2) == []
             assert (free1.tolist(), free2.tolist()) == free  # nothing matched, nothing cleared
-        assert [(m.i, m.j) for m in _guided(f1, f2, g, boxes, MatchParams())] == [(0, 0)]
+        assert [(m.i, m.j) for m in _guided(f1, f2, g, boxes)] == [(0, 0)]
 
 
-def _reference_guided(feats1, feats2, g, boxes1, params, claimed1=(), claimed2=()):
+def _reference_guided(feats1, feats2, g, boxes1, r_search, claimed1=(), claimed2=()):
     """Per-feature candidate lists resolved by deferred acceptance."""
     pool2 = [f for f in feats2 if f.id not in claimed2]
     if not pool2:
@@ -174,7 +174,7 @@ def _reference_guided(feats1, feats2, g, boxes1, params, claimed1=(), claimed2=(
     for k in np.flatnonzero(usable):
         f = pool1[k]
         d = np.linalg.norm(pos2 - ph[k, :2] / ph[k, 2], axis=1)
-        near = np.flatnonzero(d <= params.r_search)
+        near = np.flatnonzero(d <= r_search)
         sims = desc2[near] @ f.desc
         cands = sorted(
             ((float(s), pool2[int(n)].id) for s, n in zip(sims, near) if s >= SIM_THRESH),
@@ -219,24 +219,24 @@ class TestGuidedMatchReference:
         m[:2] += rng.uniform(-0.05, 0.05, (2, 3)) * [1, 1, 100]
         g = ObjectGroup(H=Homography(m), pairs=[(0, 0)])
         boxes = corner_table([DetBox(5, 5, 45, 45)])
-        params = MatchParams(r_search=float(rng.uniform(5, 30)))
+        r_search = float(rng.uniform(5, 30))
         claimed1 = {f.id for f in f1 if rng.uniform() < 0.2}
         claimed2 = {f.id for f in f2 if rng.uniform() < 0.2}
-        return f1, f2, g, boxes, params, claimed1, claimed2
+        return f1, f2, g, boxes, r_search, claimed1, claimed2
 
     def test_equals_deferred_acceptance_without_ties(self):
         rng = np.random.default_rng(7)
         checked = 0
         while checked < 250:
-            f1, f2, g, boxes, params, c1, c2 = self._instance(rng)
+            f1, f2, g, boxes, r_search, c1, c2 = self._instance(rng)
             all_sims = np.array([f.desc for f in f1]) @ np.array([f.desc for f in f2]).T
             # Similarities within 1e-12 of each other could order differently
             # in the two dot products; such draws are left out.
             gaps = np.diff(np.sort(all_sims.ravel()))
             if gaps.size and gaps.min() < 1e-12:
                 continue
-            want = _reference_guided(f1, f2, g, boxes, params, c1, c2)
-            got = _guided(f1, f2, g, boxes, params, 4, c1, c2)
+            want = _reference_guided(f1, f2, g, boxes, r_search, c1, c2)
+            got = _guided(f1, f2, g, boxes, r_search, 4, c1, c2)
             assert [(m.i, m.j) for m in got] == [(i, j) for i, j, _ in want]
             assert all(m.group_id == 4 for m in got)
             # The reference's subset gemv and np.vecdot may round differently.
@@ -248,11 +248,11 @@ class TestGuidedMatchReference:
         rng = np.random.default_rng(9)
         matched = 0
         for _ in range(30):
-            f1, f2, g, boxes, params, c1, c2 = self._instance(rng)
+            f1, f2, g, boxes, r_search, c1, c2 = self._instance(rng)
             t1, t2 = feature_table(f1), feature_table(f2)
             free1, free2 = _free(t1, c1), _free(t2, c2)
             before1, before2 = free1.copy(), free2.copy()
-            got = guided_match(t1, t2, g, boxes, params, 0, free1, free2)
+            got = guided_match(t1, t2, g, boxes, r_search, 0, free1, free2)
             assert set(t1[0][before1 & ~free1].tolist()) == {m.i for m in got}
             assert set(t2[0][before2 & ~free2].tolist()) == {m.j for m in got}
             assert np.all(free1 <= before1) and np.all(free2 <= before2)
@@ -273,9 +273,9 @@ class TestGuidedMatchReference:
         ]
         boxes = corner_table([DetBox(-10, -10, 10, 10)])
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0)])
-        got = _guided(f1, f2, g, boxes, MatchParams())
+        got = _guided(f1, f2, g, boxes)
         assert [(m.i, m.j) for m in got] == [(0, 1), (2, 0)]
-        assert [(i, j) for i, j, _ in _reference_guided(f1, f2, g, boxes, MatchParams())] == [
+        assert [(i, j) for i, j, _ in _reference_guided(f1, f2, g, boxes, R_SEARCH)] == [
             (1, 1), (2, 0)
         ]
 
@@ -381,13 +381,12 @@ class TestRefineHomography:
             from objguide.objmatch import greedy_match
 
             b1, b2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
-            params = MatchParams()
             tables = feature_table(scene.img_a.features), feature_table(scene.img_b.features)
-            groups = greedy_match(b1, b2, *tables, params)
+            groups = greedy_match(b1, b2, *tables)
             assert groups
             g = groups[0]
             before = homography_rms(g.H, 0, scene.gt)
-            refine_homography(g, b1, b2, [], [], params)
+            refine_homography(g, b1, b2, [], [])
             after = homography_rms(g.H, 0, scene.gt)
             assert after <= before * 1.05
 
@@ -396,7 +395,7 @@ class TestRefineHomography:
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[(0, 0), (1, 1)])
         # Both pairs identical: the stacked system is rank deficient but the
         # identity already fits; refinement must never make things worse.
-        h = refine_homography(g, q, q, [], [], MatchParams())
+        h = refine_homography(g, q, q, [], [])
         pts = np.array([[0, 0], [10, 0], [10, 10], [0, 10]], float)
         assert np.abs(h.map_points(pts) - pts).max() < 1e-8
 
@@ -404,7 +403,7 @@ class TestRefineHomography:
         # A groups file may hold a group with no pairs: nothing to refit.
         g = ObjectGroup(H=Homography(np.eye(3)), pairs=[])
         none = np.empty((0, 4, 2))
-        assert refine_homography(g, none, none, [], [], MatchParams()) is g.H
+        assert refine_homography(g, none, none, [], []) is g.H
         assert not g.refined
 
 

@@ -7,7 +7,7 @@ from objguide import io as formats
 from objguide.cli import EXIT_DIMENSION, EXIT_PARSE, main
 from objguide.geom import DetBox, Homography, LineSegment, QuadBox
 from objguide.guided import Match, MatchSet, match_pair
-from objguide.objmatch import Feature, MatchParams, ObjectGroup
+from objguide.objmatch import Feature, ObjectGroup
 from objguide.rectify import ColumnInterval, Rectifier, build_plane_rectifiers
 from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
 from objguide.vanishing import HORIZONTAL, VanishingPoint, VpParams, image_vps, segment_arrays
@@ -74,6 +74,15 @@ class TestRoundTrips:
             assert f.id == g.id
             assert np.array_equal(f.pos, g.pos)
             assert np.array_equal(f.desc, g.desc)
+
+    def test_features_ids_not_a_row_range_rejected(self, tmp_path):
+        # read_features numbers features by row, so ids 5 and 9 would read
+        # back as 0 and 1 and break any ground truth that names them.
+        feats = [Feature(id=k, pos=[0.0, float(k)], desc=[1.0, 0.0]) for k in (5, 9)]
+        path = tmp_path / "features.txt"
+        with pytest.raises(ValueError, match="0..n-1"):
+            formats.write_features(str(path), feats)
+        assert not path.exists()
 
     def test_matches_exact(self, tmp_path):
         ms = MatchSet([Match(0, 3, 0.123456789012345, 0), Match(2, 1, -0.5, -1)], [])
@@ -444,7 +453,7 @@ class TestCli:
         assert main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b", "--out", str(out),
                      "--mode", "(O+R)A"]) == 0
         imgs = [formats.read_image_dir(f"{scene}/{side}", min_seg_len=20.0) for side in "ab"]
-        _ms, report = match_pair(*imgs, MatchParams(), VpParams(), mode="(O+R)A")
+        _ms, report = match_pair(*imgs, VpParams(), mode="(O+R)A")
         keys = ["mode", "vps_1", "vps_2", "boxes_1", "boxes_2",
                 "groups", "guided_matches", "additional_matches"]
         assert sorted(report) == sorted(keys)
@@ -530,19 +539,10 @@ class TestCli:
         assert capsys.readouterr().out.strip().splitlines()[-1] == "planes=0 rectifiers=0"
 
     @pytest.mark.parametrize("flag,value", [
-        ("--iou-thresh", "0"),
-        ("--gem-p", "0.5"),
-        ("--ratio", "0"),
         ("--angle-thresh", "0"),
-        ("--k-candidates", "-1"),
-        ("--r-search", "-1"),
         ("--angle-thresh", "nan"),
-        ("--gem-p", "nan"),
-        ("--gem-p", "inf"),
-        ("--gem-p", "1000"),
         ("--angle-thresh", "90"),
         ("--angle-thresh", "inf"),
-        ("--r-search", "nan"),
         ("--min-seg-len", "nan"),
         ("--min-seg-len", "-1"),
         ("--jobs", "0"),
@@ -558,14 +558,22 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not os.path.exists(tmp_path / "out")
 
-    def test_gem_p_underflow_names_gem_p(self, tmp_path, capsys):
-        # Every pooled descriptor underflows to zero at p = 1000.
+    @pytest.mark.parametrize("flag,value", [
+        ("--k-candidates", "5"),
+        ("--iou-thresh", "0.5"),
+        ("--r-search", "20"),
+        ("--gem-p", "3"),
+        ("--ratio", "0.8"),
+    ])
+    def test_matching_constant_is_not_a_flag(self, tmp_path, capsys, flag, value):
+        # The matcher's design values are module constants, even at their values.
         scene = _write_scene(tmp_path)
-        capsys.readouterr()
-        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
-                   "--out", str(tmp_path / "out"), "--gem-p", "1000"])
-        assert rc == EXIT_PARSE
-        assert "gem_p" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                  "--out", str(tmp_path / "out"), flag, value])
+        assert exc.value.code == EXIT_PARSE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_vps_rejects_nan_min_seg_len(self, tmp_path, capsys):
         # nan would otherwise drop every segment and print no VP with exit 0.
@@ -616,7 +624,7 @@ class TestCli:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["vps", "rectify"])
-    @pytest.mark.parametrize("flag,value", [("--iou-thresh", "0"), ("--mode", "O")])
+    @pytest.mark.parametrize("flag,value", [("--jobs", "2"), ("--mode", "O")])
     def test_match_only_flag_rejected(self, tmp_path, capsys, command, flag, value):
         scene = _write_scene(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -753,6 +761,24 @@ class TestCli:
         rc = main(["match", "--dir1", str(tmp_path / "nope1"), "--dir2", str(tmp_path / "nope2"),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("argv", [
+        lambda scene, taken: ["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b",
+                              "--out", taken],
+        lambda scene, taken: ["match", "--dir1", f"{scene}/a", "--dir2", taken,
+                              "--out", f"{scene}/out"],
+        lambda scene, taken: ["synth", "--out", taken],
+    ], ids=["match-out", "match-dir2", "synth-out"])
+    def test_file_where_a_directory_belongs_exit_code(self, tmp_path, capsys, argv):
+        scene = _write_scene(tmp_path)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("taken\n")
+        capsys.readouterr()
+        assert main(argv(scene, str(taken))) == EXIT_PARSE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert taken.read_text() == "taken\n"
+        assert not os.path.exists(f"{scene}/out")
 
     def test_dimension_mismatch_exit_code(self, tmp_path):
         scene = _write_scene(tmp_path)

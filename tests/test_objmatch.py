@@ -3,9 +3,9 @@ import pytest
 
 from objguide.geom import DetBox, Homography, QuadBox, quad_iou
 from objguide.objmatch import (
+    EPS_IOU,
     DimensionMismatchError,
     Feature,
-    MatchParams,
     NoDescriptorError,
     _round_cells,
     _support,
@@ -64,52 +64,6 @@ class TestGemPool:
         descs = np.full((3, 16), 0.25)
         with pytest.raises(NoDescriptorError, match="gem_p 1000.0"):
             gem_pool(descs, 1000.0)
-
-
-class TestMatchParams:
-    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
-    def test_eps_iou_outside_unit_interval_rejected(self, eps):
-        with pytest.raises(ValueError):
-            MatchParams(eps_iou=eps)
-
-    def test_eps_iou_one_accepted(self):
-        assert MatchParams(eps_iou=1.0).eps_iou == 1.0
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_candidates_below_one_rejected(self, k):
-        # greedy_match slices each round's order[:, :k]; k = -1 would
-        # silently drop the last candidate.
-        with pytest.raises(ValueError):
-            MatchParams(k_candidates=k)
-
-    @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
-    def test_non_integer_k_candidates_rejected(self, k):
-        # 2.5 used to fail only inside grouping, as a TypeError on a slice.
-        with pytest.raises(ValueError, match="k_candidates"):
-            MatchParams(k_candidates=k)
-
-    def test_numpy_integer_k_candidates_accepted(self):
-        assert MatchParams(k_candidates=np.int64(3)).k_candidates == 3
-
-    def test_k_candidates_one_accepted(self):
-        assert MatchParams(k_candidates=1).k_candidates == 1
-
-    @pytest.mark.parametrize("r", [-1.0, -1e-9])
-    def test_negative_search_radius_rejected(self, r):
-        with pytest.raises(ValueError):
-            MatchParams(r_search=r)
-
-    def test_zero_search_radius_accepted(self):
-        assert MatchParams(r_search=0.0).r_search == 0.0
-
-    @pytest.mark.parametrize("field,value", [
-        ("gem_p", np.nan),
-        ("gem_p", np.inf),
-        ("r_search", np.nan),
-    ])
-    def test_nan_and_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            MatchParams(**{field: value})
 
 
 @pytest.mark.parametrize("pos,desc", [
@@ -248,7 +202,7 @@ class TestGreedyMatch:
     def test_two_planes_recovered(self):
         scene = self._scene(seed=3)
         c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
-        groups = greedy_match(c1, c2, *_tables(scene), MatchParams())
+        groups = greedy_match(c1, c2, *_tables(scene))
         found = {p for g in groups for p in g.pairs}
         true = set(scene.gt.box_pairs)
         assert len(found & true) / len(true) >= 0.9
@@ -257,8 +211,7 @@ class TestGreedyMatch:
     def test_group_invariants(self):
         scene = self._scene(seed=7, distractors=2)
         c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
-        params = MatchParams()
-        groups = greedy_match(c1, c2, *_tables(scene), params)
+        groups = greedy_match(c1, c2, *_tables(scene))
         seen1, seen2 = set(), set()
         for g in groups:
             assert len(g.pairs) >= 2
@@ -272,12 +225,12 @@ class TestGreedyMatch:
                         g.H.map_points(c1[i])
                     )
                 )
-                assert quad_iou(proj, QuadBox(c2[j])) >= params.eps_iou
+                assert quad_iou(proj, QuadBox(c2[j])) >= EPS_IOU
 
     def test_determinism(self):
         scene = self._scene(seed=11, distractors=2)
         c1, c2 = corner_table(scene.img_a.boxes), corner_table(scene.img_b.boxes)
-        run = lambda: greedy_match(c1, c2, *_tables(scene), MatchParams())
+        run = lambda: greedy_match(c1, c2, *_tables(scene))
         ga, gb = run(), run()
         assert len(ga) == len(gb)
         for x, y in zip(ga, gb):
@@ -286,9 +239,9 @@ class TestGreedyMatch:
 
     def test_empty_inputs(self):
         none = np.empty((0, 4, 2))
-        assert greedy_match(none, none, feature_table([]), feature_table([]), MatchParams()) == []
+        assert greedy_match(none, none, feature_table([]), feature_table([])) == []
         # One image without boxes: the other's boxes have no candidate.
         scene = self._scene(seed=11)
         boxes, tables = corner_table(scene.img_a.boxes), _tables(scene)
-        assert greedy_match(boxes, none, *tables, MatchParams()) == []
-        assert greedy_match(none, boxes, *tables, MatchParams()) == []
+        assert greedy_match(boxes, none, *tables) == []
+        assert greedy_match(none, boxes, *tables) == []
