@@ -53,6 +53,18 @@ def _image_size(args) -> tuple[int, int]:
     return args.width, args.height
 
 
+def _check_out_dir(out: str) -> None:
+    """Raise OSError unless out is a directory or can be made one: the
+    nearest existing path on it is a writable directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"output directory {out}: {path} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(f"output directory {out}: {path} is not writable")
+
+
 def _run_one_pair(dir1: str, dir2: str, out: str, args, vp_params: VpParams) -> dict:
     img1 = formats.read_image_dir(dir1, min_seg_len=args.min_seg_len)
     img2 = formats.read_image_dir(dir2, min_seg_len=args.min_seg_len)
@@ -70,6 +82,13 @@ def cmd_match(args) -> int:
         raise InvalidParameterError("invalid parameter: jobs must be >= 1")
     if args.pairs_file:
         jobs = formats.read_pairs(args.pairs_file)
+    else:
+        jobs = [(args.dir1, args.dir2, args.out)]
+    # Before any pair runs: a bad path would otherwise fail only after its
+    # pair, with the files of earlier pairs written and no summary.
+    for _a, _b, out in jobs:
+        _check_out_dir(out)
+    if args.pairs_file:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_one_pair, a, b, o, args, vp_params) for a, b, o in jobs]
             reports = [f.result() for f in futures]

@@ -199,10 +199,20 @@ class DetBox:
 _NEXT = np.array([1, 2, 3, 0])
 
 
+def _min4(v: np.ndarray) -> np.ndarray:
+    """Minimum over a last axis of length 4, from its four slices."""
+    return np.minimum(np.minimum(v[..., 0], v[..., 1]), np.minimum(v[..., 2], v[..., 3]))
+
+
+def _max4(v: np.ndarray) -> np.ndarray:
+    """Maximum over a last axis of length 4, from its four slices."""
+    return np.maximum(np.maximum(v[..., 0], v[..., 1]), np.maximum(v[..., 2], v[..., 3]))
+
+
 def _edge_crosses(corners: np.ndarray) -> np.ndarray:
     """Cross products of consecutive edges of quads (..., 4, 2)."""
-    e = corners[..., _NEXT, :] - corners
-    en = e[..., _NEXT, :]
+    e = np.take(corners, _NEXT, axis=-2) - corners
+    en = np.take(e, _NEXT, axis=-2)
     return e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
 
 
@@ -283,33 +293,67 @@ def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
     return area
 
 
-def project_quads(h: np.ndarray, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map quads (N, 4, 2) under each homography matrix of a stack (K, 3, 3),
-    as QuadBox(canonical_quad_order(Homography(m).map_points(q))) does for
-    one matrix and one quad.
+def quad_bounds(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounding boxes of quads (..., 4, 2): min and max corners (..., 2)."""
+    x, y = corners[..., 0], corners[..., 1]
+    return np.stack((_min4(x), _min4(y)), axis=-1), np.stack((_max4(x), _max4(y)), axis=-1)
 
-    Returns the mask (K, N) of the images that are finite and strictly
-    convex, and every image (K, N, 4, 2) in canonical corner order; an
-    image outside the mask holds meaningless finite values.
+
+def project_quads(h: np.ndarray, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map quads (N, 4, 2) under each homography matrix of a stack (K, 3, 3).
+
+    Returns the mask (K, N) of the images that QuadBox(canonical_quad_order(
+    Homography(m).map_points(q))) accepts, the finite and strictly convex
+    ones, and every image (K, N, 4, 2) in source corner order; an image
+    outside the mask holds meaningless finite values.
     """
     shape = (len(h), len(corners), 4)
     xy, finite = project_points(h, corners)
-    quads = canonical_quad_order(xy.reshape(-1, 4, 2)).reshape(shape + (2,))
-    return finite.reshape(shape).all(axis=2) & np.all(_edge_crosses(quads) > 0, axis=-1), quads
+    xy = xy.reshape(shape + (2,))
+    valid = finite.reshape(shape).all(axis=2)
+    # Four edge crosses of one sign, each clear of zero by 1e-9 of the
+    # squared coordinate scale (rounding moves a cross by ~1e-14 of it): the
+    # image is strictly convex, and its vertex centroid lies so far inside
+    # that canonical_quad_order's angle sort keeps the cyclic corner order.
+    # Its canonical crosses are then these, permuted and maybe negated, so
+    # all positive.  Only the other images take the canonical test.
+    tol = 1e-9 * _max4(np.maximum(np.abs(xy[..., 0]), np.abs(xy[..., 1]))) ** 2
+    cross = _edge_crosses(xy)
+    clear = (_min4(cross) > tol) | (_max4(cross) < -tol)
+    doubt = valid & ~clear
+    if doubt.any():
+        valid[doubt] = np.all(_edge_crosses(canonical_quad_order(xy[doubt])) > 0, axis=-1)
+    return valid, xy
 
 
-def bbox_overlaps(
+def bbox_overlap_cells(
     lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray
-) -> np.ndarray:
-    """(..., Na, Nb) mask of axis-aligned boxes, given as min/max corners
-    (..., N, 2), whose interiors intersect.  Quads with disjoint bounding
-    boxes have IoU 0."""
-    # Built in place: for a grouping round, the mask is the largest array.
-    cells = hi_b[..., None, :, 0] > lo_a[..., :, None, 0]
-    cells &= lo_b[..., None, :, 0] < hi_a[..., :, None, 0]
-    cells &= hi_b[..., None, :, 1] > lo_a[..., :, None, 1]
-    cells &= lo_b[..., None, :, 1] < hi_a[..., :, None, 1]
-    return cells
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), in row-major order, of the axis-aligned boxes a
+    and b, given as min/max corners (Na, 2) and (Nb, 2), whose interiors
+    intersect.  Quads with disjoint bounding boxes have IoU 0.
+
+    Per axis, the b boxes that start before box i ends are a prefix of b
+    sorted by start, and those that end after it starts are a prefix of b
+    sorted by descending end.  Each prefix is a row of bits packed in 64-bit
+    words, so box i's cells are the AND of four rows; only rows with a set
+    bit are unpacked.
+    """
+    nb = len(lo_b)
+    words = -(-nb // 64)
+    prefix = np.arange(nb + 1)[:, None]
+    cells = np.full((len(lo_a), words), ~np.uint64(0))
+    for key, query in ((lo_b, hi_a), (-hi_b, -lo_a)):
+        for d in range(2):
+            order = np.argsort(key[:, d], kind="stable")
+            rank = np.full(64 * words, nb)  # the padding bits stay clear
+            rank[order] = np.arange(nb)
+            rows = np.packbits(prefix > rank, axis=1).view(np.uint64)
+            cells &= np.take(rows, np.searchsorted(key[order, d], query[:, d]), axis=0)
+    live = np.flatnonzero(np.bitwise_or.reduce(cells, axis=1))
+    bits = np.unpackbits(cells[live].view(np.uint8), axis=1, count=nb).view(bool)
+    i, j = np.divmod(np.flatnonzero(bits), nb)
+    return live[i], j
 
 
 def _clip_by_quads(subject: np.ndarray, count: np.ndarray, clipper: np.ndarray):

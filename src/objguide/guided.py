@@ -22,6 +22,7 @@ from .geom import (
     Homography,
     LineSegment,
     QuadBox,
+    canonical_quad_order,
     dlt_homography,
     points_in_quads,
     project_points,
@@ -130,7 +131,7 @@ def refine_homography(
     if corner_rms(refined) > corner_rms(g.H) + 1e-9:
         return g.H
     [valid], [proj] = project_quads(refined.m[None], corners1)
-    if not valid.all() or np.any(quad_iou(proj, corners2) < EPS_IOU):
+    if not valid.all() or np.any(quad_iou(canonical_quad_order(proj), corners2) < EPS_IOU):
         return g.H
 
     g.H = refined

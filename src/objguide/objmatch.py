@@ -15,10 +15,12 @@ import numpy as np
 
 from .geom import (
     Homography,
-    bbox_overlaps,
+    bbox_overlap_cells,
+    canonical_quad_order,
     dlt_homographies,
     points_in_quads,
     project_quads,
+    quad_bounds,
     quad_iou,
 )
 
@@ -148,28 +150,52 @@ def greedy_assign(score: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return kept[np.argsort(a[kept])]
 
 
+def _quad_areas(corners: np.ndarray) -> np.ndarray:
+    """Areas of convex quads (N, 4, 2), half the cross of their diagonals."""
+    d = corners[:, 2:] - corners[:, :2]
+    return 0.5 * np.abs(d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
+
+
 def _round_cells(
-    ms: np.ndarray, corners1: np.ndarray, corners2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ms: np.ndarray, corners1: np.ndarray, corners2: np.ndarray, eps_iou: float
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """What a grouping round can score without IoU.
 
     Projects the image-1 quads (N1, 4, 2) under each hypothesis matrix
-    (K, 3, 3) and finds the image-2 quads (N2, 4, 2) whose bounding boxes
-    each projection overlaps.  Returns the projections (K, N1, 4, 2), the
-    overlap cells (K, N1, N2), none set for a projection that is not finite
-    and strictly convex, and each hypothesis's support bound (K,).  Only a
-    projected quad whose bounding box overlaps an image-2 box can reach
-    IoU >= EPS_IOU > 0, and pairing is one-to-one, so the support is at
-    most the smaller of the number of such quads and the number of image-2
-    boxes they overlap.
+    (K, 3, 3) and keeps the cells (k, a, b), projection a under hypothesis k
+    against image-2 quad b (N2, 4, 2), whose IoU can reach eps_iou: the
+    projection is finite and strictly convex, the bounding boxes overlap,
+    and IoU's two upper bounds, bounding-box intersection over the larger
+    area and smaller area over larger, reach eps_iou up to rounding.
+    Returns the projections (K, N1, 4, 2) in source corner order, the cells
+    as index arrays in (k, a, b) order, and each hypothesis's support bound
+    (K,): pairing is one-to-one, so the support is at most the smaller of
+    the numbers of distinct a and distinct b among its cells.
     """
     valid, proj = project_quads(ms, corners1)
-    cells = bbox_overlaps(
-        proj.min(axis=2), proj.max(axis=2), corners2.min(axis=1), corners2.max(axis=1)
-    )
-    cells &= valid[..., None]
-    bound = np.minimum(cells.any(axis=2).sum(axis=1), cells.any(axis=1).sum(axis=1))
-    return proj, cells, bound
+    quads = proj.reshape(-1, 4, 2)
+    lo1, hi1 = quad_bounds(quads)
+    # An image outside the mask gets an empty box, which overlaps nothing.
+    invalid = ~valid.ravel()
+    lo1[invalid], hi1[invalid] = np.inf, -np.inf
+    lo2, hi2 = quad_bounds(corners2)
+    r, b = bbox_overlap_cells(lo1, hi1, lo2, hi2)
+    k, a = np.divmod(r, len(corners1))
+    area1, area2 = _quad_areas(quads[r]), _quad_areas(corners2)[b]
+    lo1, hi1, lo2, hi2 = lo1[r], hi1[r], lo2[b], hi2[b]
+    side = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
+    reach = np.minimum(side[:, 0] * side[:, 1], np.minimum(area1, area2))
+    # Areas here and in quad_iou are off by ~1e-14 of the squared coordinate
+    # scale at most, so the slack keeps every cell it scores >= eps_iou.
+    mag = np.maximum(np.maximum(-lo1, hi1), np.maximum(-lo2, hi2))
+    slack = 1e-9 * np.maximum(mag[:, 0], mag[:, 1]) ** 2
+    keep = eps_iou * np.maximum(area1, area2) <= reach + slack
+    k, a, b = k[keep], a[keep], b[keep]
+    seen1 = np.zeros((len(ms), len(corners1)), dtype=bool)
+    seen2 = np.zeros((len(ms), len(corners2)), dtype=bool)
+    seen1[k, a] = True
+    seen2[k, b] = True
+    return proj, (k, a, b), np.minimum(seen1.sum(axis=1), seen2.sum(axis=1))
 
 
 def _support(
@@ -189,7 +215,11 @@ def _support(
 
 
 def _best_support(
-    proj: np.ndarray, cells: np.ndarray, bound: np.ndarray, corners2: np.ndarray, eps_iou: float
+    proj: np.ndarray,
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    bound: np.ndarray,
+    corners2: np.ndarray,
+    eps_iou: float,
 ) -> tuple[int, list[tuple[int, int]]] | None:
     """The best-supported hypothesis of a round and its pairs, or None.
 
@@ -201,8 +231,10 @@ def _best_support(
     whose bound reaches the floor at the start of the block.  IoUs do not
     depend on the stacking, so neither does the result.
     """
+    k, a, b = cells
+    size = np.bincount(k, minlength=len(bound))
+    start = np.cumsum(size) - size
     todo = np.flatnonzero(bound >= 2)
-    size = cells.sum(axis=(1, 2))
     best, floor = None, 2  # (key, k, pairs) of the best so far, and its count
     while True:
         # A hypothesis that can only tie the best count is still scored:
@@ -212,20 +244,21 @@ def _best_support(
             break
         stop = np.searchsorted(np.cumsum(size[todo]), SUPPORT_CELLS) + 1
         block, todo = todo[:stop], todo[stop:]
-        # Cells in (hypothesis, a, b) order: each member's run is its own
-        # np.nonzero(cells[k]).
-        h, a, b = np.nonzero(cells[block])
-        iou = quad_iou(proj[block[h], a], corners2[b])
-        ends = np.cumsum(size[block]).tolist()
-        for k, lo, hi in zip(block.tolist(), [0] + ends, ends):
-            if bound[k] < floor:
+        # The members' runs of cells, one after the other.
+        ends = np.cumsum(size[block])
+        run = np.arange(ends[-1]) + np.repeat(start[block] - ends + size[block], size[block])
+        ba, bb = a[run], b[run]
+        iou = quad_iou(canonical_quad_order(proj[k[run], ba]), corners2[bb])
+        ends = ends.tolist()
+        for h, lo, hi in zip(block.tolist(), [0] + ends, ends):
+            if bound[h] < floor:
                 continue
-            pairs, sum_iou = _support(a[lo:hi], b[lo:hi], iou[lo:hi], eps_iou)
+            pairs, sum_iou = _support(ba[lo:hi], bb[lo:hi], iou[lo:hi], eps_iou)
             if len(pairs) < 2:
                 continue
             key = (len(pairs), sum_iou, [(-i, -j) for i, j in pairs])
             if best is None or key > best[0]:
-                best, floor = (key, k, pairs), len(pairs)
+                best, floor = (key, h, pairs), len(pairs)
     return None if best is None else best[1:]
 
 
@@ -264,7 +297,7 @@ def greedy_match(
             break
         m, unit = m[ok], unit[ok]
         sub2 = corners2[rows2]
-        proj, cells, bound = _round_cells(unit, corners1[rows1], sub2)
+        proj, cells, bound = _round_cells(unit, corners1[rows1], sub2, EPS_IOU)
         won = _best_support(proj, cells, bound, sub2, EPS_IOU)
         if won is None:
             break

@@ -17,10 +17,11 @@ from .geom import (
     DetBox,
     Homography,
     QuadBox,
-    bbox_overlaps,
+    bbox_overlap_cells,
+    canonical_quad_order,
     join,
     project_points,
-    project_quads,
+    quad_bounds,
     quad_iou,
 )
 from .vanishing import (
@@ -283,10 +284,10 @@ def build_plane_rectifiers(
 
 def backproject_quad(box: DetBox, r: Rectifier) -> QuadBox:
     """Map a rectified-frame detection back to the original image."""
-    [[valid]], [[corners]] = project_quads(r.H_inv.m[None], box.corners[None])
-    if not valid:
-        raise BackprojectionError("backprojected corner at infinity or quad not convex")
-    return QuadBox(corners, box.score)
+    try:
+        return QuadBox(canonical_quad_order(r.H_inv.map_points(box.corners)), box.score)
+    except DegenerateInputError as exc:
+        raise BackprojectionError("backprojected corner at infinity or quad not convex") from exc
 
 
 DEDUP_IOU = 0.8
@@ -318,12 +319,14 @@ def merge_detections(
     pool = streams[mode]
     order = sorted(range(len(pool)), key=lambda i: (-pool[i].score, i))
     corners = np.array([q.corners for q in pool]).reshape(-1, 4, 2)
-    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    lo, hi = quad_bounds(corners)
     # IoU of each candidate with every earlier one whose bounding box it
     # overlaps, in one stacked call; other pairs have IoU 0.
     rank = np.empty(len(pool), dtype=int)
     rank[order] = np.arange(len(pool))
-    ii, kk = np.nonzero(bbox_overlaps(lo, hi, lo, hi) & (rank[None, :] < rank[:, None]))
+    ii, kk = bbox_overlap_cells(lo, hi, lo, hi)
+    earlier = rank[kk] < rank[ii]
+    ii, kk = ii[earlier], kk[earlier]
     iou = np.zeros((len(pool), len(pool)))
     iou[ii, kk] = quad_iou(corners[ii], corners[kk])
     kept: list[int] = []

@@ -12,7 +12,7 @@ and the same kept detections.
 import numpy as np
 import pytest
 
-from objguide import objmatch, synth
+from objguide import geom, objmatch, synth
 from objguide.geom import (
     DegenerateInputError,
     DetBox,
@@ -218,6 +218,30 @@ def test_quad_projected_to_infinity():
     assert groups[0].pairs == [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(DegenerateInputError):
         groups[0].H.map_points(b1[3].corners)
+
+
+def test_images_the_edge_crosses_cannot_decide_match_reference(monkeypatch):
+    # The hypotheses of boxes 0-2 send the line x = 512 to infinity, and
+    # box 3 straddles it.  A hypothesis onto the 1e-5 px thin box 1 of
+    # image 2 maps the boxes to slivers.  Neither kind of image is decided
+    # by its edge crosses, so both take canonical_quad_order's angle sort.
+    h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0 / 512, 0, 1.0]]))
+    b1 = [_box(0, 0, 40, 50), _box(60, 0, 100, 50), _box(100, 100, 140, 150),
+          _box(500, 0, 540, 50), _box(200, 300, 240, 350)]
+    b2 = [QuadBox(canonical_quad_order(h.map_points(q.corners))) for q in b1[:3]]
+    b2.insert(1, _box(300, 400, 340, 400 + 1e-5))
+    undecided = []
+    sort = geom.canonical_quad_order
+    with monkeypatch.context() as patch:
+        patch.setattr(geom, "canonical_quad_order", lambda c: undecided.append(c) or sort(c))
+        tables = feature_table([], 0), feature_table([], 0)
+        greedy_match(corner_table(b1), corner_table(b2), *tables)
+    rows = np.concatenate(undecided)
+    extent = rows.max(axis=1) - rows.min(axis=1)
+    assert (extent[:, 0] > 1e4).any()  # box 3's corners run off both ways
+    assert (extent.min(axis=1) < 1e-3).any()
+    groups = _assert_same_groups(b1, b2, [], [])
+    assert groups[0].pairs == [(0, 0), (1, 2), (2, 3)]
 
 
 def test_featureless_image_matches_reference():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from objguide import geom
 from objguide.geom import (
     CONTAINS_EPS,
     DegenerateInputError,
@@ -12,6 +13,8 @@ from objguide.geom import (
     LineSegment,
     QuadBox,
     _at_infinity,
+    _edge_crosses,
+    bbox_overlap_cells,
     canonical_quad_order,
     dehomogenize,
     dlt_homographies,
@@ -578,11 +581,104 @@ class TestBoxes:
         rows = np.flatnonzero(valid)
         assert 1 not in rows
         assert list(rows) == [k for k, _ in want]
-        assert all(np.array_equal(a, b) for (_, a), b in zip(want, proj[rows]))
+        # Images come in source corner order.
+        got = canonical_quad_order(proj[rows])
+        assert all(np.array_equal(a, b) for (_, a), b in zip(want, got))
         # A stack of matrices gives each matrix's own projection.
         assert stacked_valid[0].all() and np.array_equal(stacked[0], corners)
         assert np.array_equal(stacked_valid[1], valid)
         assert np.array_equal(stacked[1][rows], proj[rows])
+
+
+def random_homographies(rng, n):
+    """Homographies of the canvas [0, 1000]^2 in three kinds: mild
+    perspective; a line sent to infinity through a canvas point, so quads
+    straddle it; and nearly singular maps that flatten every quad into a
+    sliver 1e-4 to 1e-9 times as wide as it is long."""
+    out = []
+    for k in range(n):
+        m = np.eye(3)
+        m[:2] += rng.normal(0.0, 0.1, (2, 3)) * [1.0, 1.0, 100.0]
+        if k % 3 == 0:
+            m[2, :2] = rng.normal(0.0, 2e-4, 2)
+        elif k % 3 == 1:
+            p = rng.uniform(100.0, 900.0, 2)
+            d = rng.normal(size=2)
+            d /= 500.0 * np.linalg.norm(d)
+            m[2] = [d[0], d[1], -(d @ p)]
+        else:
+            t = rng.uniform(0.0, np.pi)
+            rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            m[:2, :2] = rot @ np.diag([1.0, 10.0 ** -rng.uniform(4.0, 9.0)]) @ rot.T
+        out.append(Homography(m))
+    return out
+
+
+def thin_rect(rng, aspect):
+    """A rectangle of random position and angle, aspect times as wide as it
+    is long, in positive-shoelace order."""
+    t = rng.uniform(0.0, np.pi)
+    u = np.array([np.cos(t), np.sin(t)])
+    v = np.array([-u[1], u[0]])
+    c, length = rng.uniform(300.0, 700.0, 2), rng.uniform(20.0, 200.0)
+    return c + np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]) @ np.array(
+        [length * u, aspect * length * v]
+    )
+
+
+class TestRoundKernels:
+    def test_project_quads_mask_equals_angle_sort_definition(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        hs = random_homographies(rng, 45)
+        corners = np.array(
+            [random_convex_quad(rng, 0.0, 1000.0).corners for _ in range(25)]
+            + [thin_rect(rng, 10.0 ** -e) for e in range(2, 15)]
+        )
+        doubt = []
+        sort = geom.canonical_quad_order
+        ms = np.array([h.m for h in hs])
+        with monkeypatch.context() as patch, np.errstate(all="raise"):
+            patch.setattr(geom, "canonical_quad_order", lambda c: doubt.append(c) or sort(c))
+            # Mild maps of ordinary quads never need the angle sort.
+            project_quads(ms[::3], corners[:25])
+            assert doubt == []
+            valid, proj = project_quads(ms, corners)
+        want = np.zeros_like(valid)
+        for k, h in enumerate(hs):
+            for n, q in enumerate(corners):
+                try:
+                    want[k, n] = bool(QuadBox(sort(h.map_points(q))).corners.size)
+                except DegenerateInputError:
+                    pass
+        assert np.array_equal(valid, want)
+        # Images come in source corner order.
+        xy, _ = project_points(ms, corners)
+        assert np.array_equal(proj, xy.reshape(proj.shape))
+        # The images whose edge crosses do not decide, straddling and sliver
+        # ones, take the angle sort and go both ways.
+        [rows] = doubt
+        convex = np.all(_edge_crosses(sort(rows)) > 0, axis=-1)
+        assert convex.sum() >= 100 and (~convex).sum() >= 100
+
+    @pytest.mark.parametrize("na,nb", [(50, 0), (0, 9), (50, 1), (50, 63), (50, 64), (50, 65),
+                                       (40, 130)])
+    def test_bbox_overlap_cells_equal_dense_mask(self, na, nb):
+        # Integer bounds make shared and touching edges and empty boxes common.
+        rng = np.random.default_rng(na + nb)
+
+        def boxes(n):
+            lo = rng.integers(0, 10, (n, 2)).astype(float)
+            return lo, lo + rng.integers(0, 8, (n, 2))
+
+        (lo_a, hi_a), (lo_b, hi_b) = boxes(na), boxes(nb)
+        dense = np.ones((na, nb), dtype=bool)
+        for d in range(2):
+            dense &= hi_b[None, :, d] > lo_a[:, None, d]
+            dense &= lo_b[None, :, d] < hi_a[:, None, d]
+        i, j = bbox_overlap_cells(lo_a, hi_a, lo_b, hi_b)
+        want_i, want_j = np.nonzero(dense)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert dense.size == 0 or 0.05 < dense.mean() < 0.6
 
 
 class TestSegments:

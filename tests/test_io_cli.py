@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from objguide import cli
 from objguide import io as formats
 from objguide.cli import EXIT_DIMENSION, EXIT_PARSE, main
 from objguide.geom import DetBox, Homography, LineSegment, QuadBox
@@ -414,6 +415,14 @@ class TestRecordRules:
             formats.read_segments(str(path))
 
 
+def _counted(fn, calls):
+    """fn, logging the arguments of each call to the list calls."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
+
+
 def _write_scene(tmp_path, seed=0):
     out = str(tmp_path / f"scene{seed}")
     assert main(["synth", "--out", out, "--preset", "single", "--seed", str(seed)]) == 0
@@ -622,6 +631,41 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {pairs}:2: output directory repeats line 1"]
         assert not os.path.exists(out)
+
+    def test_out_file_fails_before_the_pair_runs(self, tmp_path, capsys, monkeypatch):
+        scene = _write_scene(tmp_path)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("taken\n")
+        calls = []
+        monkeypatch.setattr(cli, "match_pair", _counted(match_pair, calls))
+        capsys.readouterr()
+        rc = main(["match", "--dir1", f"{scene}/a", "--dir2", f"{scene}/b", "--out", str(taken)])
+        assert rc == EXIT_PARSE
+        assert calls == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: output directory {taken}: {taken} is not a directory"]
+        assert taken.read_text() == "taken\n"
+
+    @pytest.mark.parametrize("sub", ["", "/sub"])
+    def test_pairs_file_bad_out_fails_before_any_pair_runs(
+        self, tmp_path, capsys, monkeypatch, sub
+    ):
+        # Line 2's output is a file or lies under one: line 1's pair never
+        # runs, so its directory is never made.
+        scene = _write_scene(tmp_path)
+        taken = tmp_path / "taken.txt"
+        taken.write_text("taken\n")
+        first = tmp_path / "first"
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"{scene}/a {scene}/b {first}\n{scene}/b {scene}/a {taken}{sub}\n")
+        calls = []
+        monkeypatch.setattr(cli, "match_pair", _counted(match_pair, calls))
+        capsys.readouterr()
+        assert main(["match", "--pairs-file", str(pairs), "--jobs", "1"]) == EXIT_PARSE
+        assert calls == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: output directory {taken}{sub}: {taken} is not a directory"]
+        assert not os.path.exists(first)
 
     @pytest.mark.parametrize("command", ["vps", "rectify"])
     @pytest.mark.parametrize("flag,value", [("--jobs", "2"), ("--mode", "O")])

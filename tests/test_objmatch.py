@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from objguide.geom import DetBox, Homography, QuadBox, quad_iou
+from objguide.geom import (
+    DetBox,
+    Homography,
+    QuadBox,
+    bbox_overlap_cells,
+    canonical_quad_order,
+    project_quads,
+    quad_bounds,
+    quad_iou,
+)
 from objguide.objmatch import (
     EPS_IOU,
     DimensionMismatchError,
@@ -15,9 +24,17 @@ from objguide.objmatch import (
     greedy_match,
     hypothesis,
 )
-from objguide.synth import NoiseSpec, PlaneSpec, SceneSpec, generate, slant_p, view_homography
+from objguide.synth import (
+    NoiseSpec,
+    PlaneSpec,
+    SceneSpec,
+    generate,
+    preset,
+    slant_p,
+    view_homography,
+)
 
-from test_geom import contains_points, corner_table, random_convex_quad
+from test_geom import contains_points, corner_table, random_convex_quad, random_homographies
 
 
 def _unit(v):
@@ -142,9 +159,8 @@ def support(h, b1, b2, eps):
     """Greedy one-to-one IoU support of h, as greedy_match scores it."""
     c1 = np.array([q.corners for q in b1])
     c2 = np.array([q.corners for q in b2])
-    proj, cells, _ = _round_cells(h.m[None], c1, c2)
-    a, b = np.nonzero(cells[0])
-    return _support(a, b, quad_iou(proj[0, a], c2[b]), eps)[0]
+    proj, (_, a, b), _ = _round_cells(h.m[None], c1, c2, eps)
+    return _support(a, b, quad_iou(canonical_quad_order(proj[0, a]), c2[b]), eps)[0]
 
 
 class TestSupport:
@@ -178,6 +194,43 @@ class TestSupport:
         b1 = [self._q(0, 0)]
         b2 = [self._q(35, 0)]  # IoU well below 0.5
         assert support(Homography(np.eye(3)), b1, b2, 0.5) == []
+
+
+class TestRoundCells:
+    def test_cells_hold_every_scorable_pair_and_bounds_hold_support(self):
+        rng = np.random.default_rng(17)
+        scene = generate(preset("grid", 0))
+        # Under the identity, nested halves and boxes shifted by a third of
+        # their width have IoU exactly EPS_IOU.
+        b1 = scene.img_a.boxes + [DetBox(2000, 0, 2040, 100), DetBox(2100, 0, 2160, 50)]
+        b2 = scene.img_b.boxes + [DetBox(2000, 0, 2040, 50), DetBox(2120, 0, 2180, 50)]
+        c1, c2 = corner_table(b1), corner_table(b2)
+        n1, n2 = len(c1), len(c2)
+        i, j = rng.integers(0, n1, 60), rng.integers(0, n2, 60)
+        _, unit, ok = hypothesis(c1[i], c2[j])
+        others = [h.m for h in random_homographies(rng, 30)]
+        ms = np.concatenate([np.eye(3)[None], unit[ok], others])
+        proj, (k, a, b), bound = _round_cells(ms, c1, c2, EPS_IOU)
+        flat = (k * n1 + a) * n2 + b
+        assert np.all(np.diff(flat) > 0)  # (k, a, b) order, no repeats
+        valid, _ = project_quads(ms, c1)
+        supported = 0
+        for h in range(len(ms)):
+            rows = np.flatnonzero(valid[h])
+            aa, bb = np.repeat(rows, n2), np.tile(np.arange(n2), len(rows))
+            iou = quad_iou(canonical_quad_order(proj[h, aa]), c2[bb])
+            hit = iou >= EPS_IOU
+            assert np.isin((h * n1 + aa[hit]) * n2 + bb[hit], flat).all()
+            pairs, _ = _support(aa, bb, iou, EPS_IOU)
+            assert bound[h] >= len(pairs)
+            supported += len(pairs) >= 2
+            if h == 0:
+                exact = iou[(aa >= n1 - 2) & (bb >= n2 - 2)]
+                assert np.count_nonzero(exact == EPS_IOU) == 2
+        assert supported >= 20
+        # The IoU bounds drop cells whose bounding boxes overlap.
+        r, _ = bbox_overlap_cells(*quad_bounds(proj[valid]), *quad_bounds(c2))
+        assert len(flat) < 0.8 * len(r)
 
 
 class TestGreedyMatch:
